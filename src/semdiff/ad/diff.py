@@ -1,13 +1,14 @@
 """Semantic differencing of two activity diagrams.
 
 The engine plays a backward reachability game on the symbolic product of
-the two diagrams: the base set holds all state pairs where the left
-diagram can take an action the right one cannot match, and each layer
-adds the pairs from which the left diagram can force the game into the
-previous layer in one joint step.  A forward pass then splits the
-initial diff states into symbolic traces, one per action list, and a
-replay against the explicit token semantics turns each of those into a
-concrete, independently checked trace.
+the two diagrams, restricted to the pairs some joint run reaches: the
+base set holds all such pairs where the left diagram can take an action
+the right one cannot match, and each layer adds the pairs from which the
+left diagram can force the game into the previous layer in one joint
+step.  A forward pass then splits the initial diff states into symbolic
+traces, one per action list, and a replay against the explicit token
+semantics turns each of those into a concrete, independently checked
+trace.
 
 The pair game computes a simulation-style difference.  It coincides
 with trace difference exactly when the right diagram is observably
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
 from ..summary import PartitionKey, SummaryEntry, SummaryReport
-from .encode import DEFAULT_BIT_BUDGET, ProductEncoding, encode_product
+from .encode import DEFAULT_BIT_BUDGET, AdBank, ProductEncoding, encode_product
 from .model import (ActivityDiagram, Configuration, initial_configs,
-                    is_observably_deterministic, observable_steps)
+                    observable_steps)
 
 
 class ReplayMismatchError(RuntimeError):
@@ -106,24 +107,57 @@ def non_correspondence(enc: ProductEncoding) -> SymbolicSet:
     return SymbolicSet(m, d0)
 
 
+def _forward_reach(m: BddManager, start: int, relations: list[int],
+                   cur: list[int], ren: dict[int, int]) -> int:
+    """Least superset of start closed under every relation's image.  Each
+    round takes the image of the newly reached states only; rigid
+    inputs are never quantified, so they ride along unchanged."""
+    reach = frontier = start
+    while frontier != FALSE:
+        img = FALSE
+        for t in relations:
+            img = m.bor(img, m.and_exists(frontier, t, cur))
+        frontier = m.bdiff(m.rename(img, ren), reach)
+        reach = m.bor(reach, frontier)
+    return reach
+
+
+def reachable_pairs(enc: ProductEncoding) -> SymbolicSet:
+    """Pairs some joint run reaches from the paired initial states
+    (shared inputs equal), moving both diagrams on one action a step."""
+    m = enc.manager
+    start = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
+    joint = [m.band(t1, enc.right.t_by_action[a])
+             for a, t1 in enc.left.t_by_action.items()
+             if a in enc.right.t_by_action]
+    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
+    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    return SymbolicSet(m, _forward_reach(m, start, joint, cur, ren))
+
+
 def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
-    """Least fixpoint of the one-step forcing operator over d0.
+    """Least fixpoint of the one-step forcing operator over d0, played on
+    the reachable pairs only.
 
     A pair joins layer k+1 when for some action the left diagram has a
     successor, the action is enabled on the right, and every right
     successor lands the pair in layer k.  Inputs have no next-state
-    copy, so they pass through the step untouched.
+    copy, so they pass through the step untouched.  The step at a
+    reachable pair reads only that pair's successors, which are
+    reachable too, so each layer is exactly the unrestricted layer
+    intersected with reachable_pairs.
     """
     m = enc.manager
+    reach = reachable_pairs(enc).node
     ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
     nxt1 = enc.left.next_levels()
     nxt2 = enc.right.next_levels()
 
-    d = d0.node
+    d = m.band(d0.node, reach)
     layers = [d]
     while True:
         dn = m.rename(d, ren)
-        new = d
+        step = FALSE
         for a in enc.alphabet:
             t1 = enc.left.t_by_action.get(a, FALSE)
             en2 = enc.right.en_by_action.get(a, FALSE)
@@ -132,8 +166,8 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
                 continue
             t2 = enc.right.t_by_action[a]
             replies = m.forall(m.bor(m.bnot(t2), dn), nxt2)
-            step = m.and_exists(t1, m.band(en2, replies), nxt1)
-            new = m.bor(new, step)
+            step = m.bor(step, m.and_exists(t1, m.band(en2, replies), nxt1))
+        new = m.bor(d, m.band(step, reach))
         if new == d:
             break
         layers.append(new)
@@ -165,44 +199,45 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
     report = enc.report_levels()
     found: dict[tuple[str, ...], int] = {}
 
-    def emit(prefix: list[str], leaf: int) -> None:
+    def emit(key: tuple[str, ...], leaf: int) -> None:
         # inputs are rigid, so projecting the leaf recovers the
         # valuations the whole branch started from
         inputs = m.exists(leaf, [lvl for lvl in m.support(leaf)
                                  if lvl not in report])
-        key = tuple(prefix)
         found[key] = m.bor(found.get(key, FALSE), inputs)
 
     cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
     ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
-
-    def descend(pairs: int, d: int, prefix: list[str]) -> None:
-        if d == 0:
-            for a in enc.alphabet:
-                en1 = enc.left.en_by_action.get(a, FALSE)
-                en2 = enc.right.en_by_action.get(a, FALSE)
-                leaf = m.band(pairs, m.bdiff(en1, en2))
-                if leaf != FALSE:
-                    emit(prefix + [a], leaf)
-            return
-        below = layers.layers[d - 1].node
-        for a in enc.alphabet:
-            t1 = enc.left.t_by_action.get(a, FALSE)
-            t2 = enc.right.t_by_action.get(a, FALSE)
-            joint = m.band(pairs, m.band(t1, t2))
-            if joint == FALSE:
-                continue
-            img = m.band(m.rename(m.exists(joint, cur), ren), below)
-            if img != FALSE:
-                descend(img, d - 1, prefix + [a])
-
     init = initial_diff_states(enc, layers).node
     prev = FALSE
-    for d, layer in enumerate(layers.layers):
+    for depth, layer in enumerate(layers.layers):
         group = m.band(init, m.bdiff(layer.node, prev))
         prev = layer.node
-        if group != FALSE:
-            descend(group, d, [])
+        # depth first, actions in alphabet order: an explicit stack with
+        # each node's children pushed in reverse
+        stack = [(group, depth, ())] if group != FALSE else []
+        while stack:
+            pairs, d, prefix = stack.pop()
+            if d == 0:
+                for a in enc.alphabet:
+                    en1 = enc.left.en_by_action.get(a, FALSE)
+                    en2 = enc.right.en_by_action.get(a, FALSE)
+                    leaf = m.band(pairs, m.bdiff(en1, en2))
+                    if leaf != FALSE:
+                        emit(prefix + (a,), leaf)
+                continue
+            below = layers.layers[d - 1].node
+            children = []
+            for a in enc.alphabet:
+                t1 = enc.left.t_by_action.get(a, FALSE)
+                t2 = enc.right.t_by_action.get(a, FALSE)
+                joint = m.band(pairs, m.band(t1, t2))
+                if joint == FALSE:
+                    continue
+                img = m.band(m.rename(m.exists(joint, cur), ren), below)
+                if img != FALSE:
+                    children.append((img, d - 1, prefix + (a,)))
+            stack.extend(reversed(children))
 
     matched = m.exists(m.band(enc.right.init, enc.input_match),
                        enc.right.cur_state_levels() + enc.right.input_levels())
@@ -211,7 +246,7 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
         for a, en1 in sorted(enc.left.en_by_action.items()):
             leaf = m.band(unmatched, en1)
             if leaf != FALSE:
-                emit([a], leaf)
+                emit((a,), leaf)
 
     return [_input_family(enc, actions, found[actions])
             for actions in sorted(found)]
@@ -231,17 +266,44 @@ def _input_family(enc: ProductEncoding, actions: tuple[str, ...],
                          product == node, bundles)
 
 
-def trace_exact(ad1: ActivityDiagram, ad2: ActivityDiagram) -> bool:
+def trace_exact(ad1: ActivityDiagram, ad2: ActivityDiagram,
+                enc: ProductEncoding | None = None) -> bool:
     """Does the pair game decide trace difference for this direction?
 
     Yes iff the right diagram is observably deterministic and every
     input it declares is also an input of the left one (otherwise the
     right side could dodge divergence by picking inputs or successors
-    the pairing fixes arbitrarily).
+    the pairing fixes arbitrarily).  Determinism is decided on enc, the
+    product encoding of the pair, which is built if not given.
     """
     names1 = {v.name for v in ad1.inputs}
     names2 = {v.name for v in ad2.inputs}
-    return names2 <= names1 and is_observably_deterministic(ad2)
+    if not names2 <= names1:
+        return False
+    if enc is None:
+        enc = encode_product(ad1, ad2)
+    return is_deterministic(enc.manager, enc.right)
+
+
+def is_deterministic(m: BddManager, bank: AdBank) -> bool:
+    """No reachable state of the bank's diagram has two distinct
+    successors under one action name.
+
+    Two distinct successors differ in some next-state bit, and inputs
+    are rigid, so the diagram is nondeterministic on action a iff for
+    some next-state bit b a reachable state has an a-successor with b
+    set and one with b clear.
+    """
+    nxt = bank.next_levels()
+    reach = _forward_reach(m, bank.init, list(bank.t_by_action.values()),
+                           bank.cur_state_levels(), bank.next_to_cur())
+    for t in bank.t_by_action.values():
+        t = m.band(t, reach)
+        for b in nxt:
+            if m.band(m.and_exists(t, m.var(b), nxt),
+                      m.and_exists(t, m.nvar(b), nxt)) != FALSE:
+                return False
+    return True
 
 
 def render_inputs(st: SymbolicTrace) -> str:
@@ -268,19 +330,29 @@ def render_inputs(st: SymbolicTrace) -> str:
 
 def _replay(ad: ActivityDiagram, at: Configuration,
             actions: tuple[str, ...]) -> list[Configuration] | None:
-    """Leftmost path through ad realizing the action list, if any."""
-    if not actions:
-        return [at]
-    for step in observable_steps(ad, at):
-        if step.action != actions[0]:
+    """Leftmost path through ad realizing the action list, if any.
+
+    Depth first with an explicit stack: untried[i] holds the successors
+    of path[i] under actions[i] not yet explored, leftmost first."""
+    path = [at]
+    untried: list = []
+    while len(path) <= len(actions):
+        if len(untried) < len(path):
+            a = actions[len(path) - 1]
+            untried.append(iter([s.successor for s in observable_steps(ad, path[-1])
+                                 if s.action == a]))
+        nxt = next(untried[-1], None)
+        if nxt is not None:
+            path.append(nxt)
             continue
-        tail = _replay(ad, step.successor, actions[1:])
-        if tail is not None:
-            return [at] + tail
-    return None
+        untried.pop()
+        path.pop()
+        if not path:
+            return None
+    return path
 
 
-def concretize(enc: ProductEncoding, layers: DiffLayers, st: SymbolicTrace,
+def concretize(enc: ProductEncoding, st: SymbolicTrace,
                *, exact: bool | None = None) -> DiffTrace:
     """Pick the least valuation of st and replay it explicitly.
 
@@ -291,7 +363,7 @@ def concretize(enc: ProductEncoding, layers: DiffLayers, st: SymbolicTrace,
     and are skipped.  Any violated check raises ReplayMismatchError.
     """
     if exact is None:
-        exact = trace_exact(enc.left.ad, enc.right.ad)
+        exact = trace_exact(enc.left.ad, enc.right.ad, enc)
     m = enc.manager
     chosen = m.pick_one(st.init_inputs.node, list(st.bundles))
     ad1, ad2 = enc.left.ad, enc.right.ad
@@ -325,13 +397,12 @@ def concretize(enc: ProductEncoding, layers: DiffLayers, st: SymbolicTrace,
     return DiffTrace(valuation, st.actions, tuple(path), render_inputs(st))
 
 
-def summarize_action_list(enc: ProductEncoding, layers: DiffLayers,
-                          traces: list[SymbolicTrace],
+def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
                           *, exact: bool | None = None) -> SummaryReport:
     """One entry per action list, annotated with its input constraint."""
     entries = []
     for st in traces:
-        rep = concretize(enc, layers, st, exact=exact)
+        rep = concretize(enc, st, exact=exact)
         entries.append(SummaryEntry(PartitionKey.action_list(st.actions),
                                     rep, rep.constraint))
     entries.sort(key=lambda e: e.key.payload)
@@ -339,8 +410,7 @@ def summarize_action_list(enc: ProductEncoding, layers: DiffLayers,
                          "action-list", entries)
 
 
-def summarize_action_set(enc: ProductEncoding, layers: DiffLayers,
-                         traces: list[SymbolicTrace],
+def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
                          *, exact: bool | None = None) -> SummaryReport:
     """One entry per action-name set.
 
@@ -358,7 +428,7 @@ def summarize_action_set(enc: ProductEncoding, layers: DiffLayers,
         for st in members:
             union = m.bor(union, st.init_inputs.node)
         family = _input_family(enc, members[0].actions, union)
-        rep = concretize(enc, layers, members[0], exact=exact)
+        rep = concretize(enc, members[0], exact=exact)
         entries.append(SummaryEntry(key, rep, render_inputs(family)))
     entries.sort(key=lambda e: e.key.payload)
     return SummaryReport((enc.left.ad.name, enc.right.ad.name),
@@ -389,13 +459,13 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
            *, bit_budget: int = DEFAULT_BIT_BUDGET) -> AdDiffResult:
     """Diff traces of ad1 against ad2: divergences of ad1 the other
     diagram cannot follow, one symbolic trace per action list."""
-    exact = trace_exact(ad1, ad2)
     enc = encode_product(ad1, ad2, bit_budget=bit_budget)
+    exact = trace_exact(ad1, ad2, enc)
     layers = backward_fixpoint(enc, non_correspondence(enc))
     traces = forward_split(enc, layers)
     return AdDiffResult(
         ad1.name, ad2.name,
         "trace" if exact else "simulation",
         tuple(traces),
-        summarize_action_list(enc, layers, traces, exact=exact),
-        summarize_action_set(enc, layers, traces, exact=exact))
+        summarize_action_list(enc, traces, exact=exact),
+        summarize_action_set(enc, traces, exact=exact))

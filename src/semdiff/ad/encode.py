@@ -1,13 +1,14 @@
 """Symbolic product encoding of two activity diagrams.
 
 State bits per diagram: one token bit per edge plus a binary bundle per
-local variable, each with an adjacent next-state copy. Inputs get one
+local variable, each with an adjacent next-state copy; bits at the same
+position of the two diagrams' edges and locals are interleaved, so
+relations between a left and a right counter stay small. Inputs get one
 copy only (they are read-only), shared-name inputs interleaved across
-the two diagrams, and sit at the top of the order after the action
-label bank. The per-action transition relation is silent closure
-followed by one action firing; the closure is composed by constant
-substitution, which works because silent firings write nothing but
-token-bit constants.
+the two diagrams, and sit at the top of the order. The per-action
+transition relation is silent closure followed by one action firing;
+the closure is composed by constant substitution, which works because
+silent firings write nothing but token-bit constants.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
-from ..bdd import (FALSE, TRUE, BddManager, SymbolicRelation, VarBundle)
+from ..bdd import FALSE, TRUE, BddManager, VarBundle
 from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
                     ActivityDiagram, Node, RangeViolationError, _apply_effects,
                     eval_bool, expr_vars)
@@ -75,9 +76,6 @@ class AdBank:
     def next_to_cur(self) -> dict[int, int]:
         return {n: c for c, n in self.cur_to_next().items()}
 
-    def state_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.cur_to_next().items()))
-
     def bundle_for(self, name: str) -> VarBundle:
         if name in self.input_bundles:
             return self.input_bundles[name]
@@ -88,20 +86,14 @@ class AdBank:
 class ProductEncoding:
     manager: BddManager
     alphabet: tuple[str, ...]
-    label: VarBundle
     left: AdBank
     right: AdBank
     input_match: int  # shared-name inputs agree by value
-    t1: SymbolicRelation | None = None
-    t2: SymbolicRelation | None = None
     # report-facing input bundles: the left diagram's inputs in
     # declaration order, then inputs only the right diagram declares
     _left_order: tuple[str, ...] = ()
     input_bundles_left: dict[str, VarBundle] = field(default_factory=dict)
     input_bundles_right_only: list[VarBundle] = field(default_factory=list)
-
-    def label_cube(self, action: str) -> int:
-        return self.manager.value_cube(self.label, self.alphabet.index(action))
 
     def report_bundles(self) -> list[VarBundle]:
         out = [self.input_bundles_left[name] for name in self._left_order]
@@ -125,14 +117,10 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     right = AdBank(ad2)
 
     alphabet = tuple(sorted(set(ad1.action_names()) | set(ad2.action_names())))
-    label_hi = max(len(alphabet) - 1, 0)
-    label = VarBundle("action", 0, label_hi,
-                      tuple(m.new_var(f"action.{i}") for i in range(_width(0, label_hi))))
-
     _allocate_inputs(m, left, right)
     _allocate_state(m, left, right)
 
-    enc = ProductEncoding(m, alphabet, label, left, right, TRUE)
+    enc = ProductEncoding(m, alphabet, left, right, TRUE)
     enc._left_order = tuple(v.name for v in ad1.inputs)
     enc.input_bundles_left = dict(left.input_bundles)
     shared = {v.name for v in ad1.inputs} & {v.name for v in ad2.inputs}
@@ -142,9 +130,6 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
 
     for bank in (left, right):
         _compile_bank(m, bank)
-
-    enc.t1 = _labeled_relation(enc, left)
-    enc.t2 = _labeled_relation(enc, right)
     return enc
 
 
@@ -179,8 +164,9 @@ def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
 
 
 def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
-    # token bits, then locals; the two diagrams interleaved; every
-    # current bit immediately followed by its next-state copy
+    # token bits, then locals; the two diagrams interleaved, locals at
+    # the same position bit by bit; every current bit immediately
+    # followed by its next-state copy
     e1, e2 = left.ad.edges, right.ad.edges
     for i in range(max(len(e1), len(e2))):
         for bank, edges in ((left, e1), (right, e2)):
@@ -190,16 +176,18 @@ def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
                 bank.tok_next[e.id] = m.new_var(f"{bank.ad.name}.tok.{e.id}'")
     l1, l2 = left.ad.locals, right.ad.locals
     for i in range(max(len(l1), len(l2))):
-        for bank, decls in ((left, l1), (right, l2)):
-            if i < len(decls):
-                v = decls[i]
-                cur: list[int] = []
-                nxt: list[int] = []
-                for j in range(_width(v.lo, v.hi)):
-                    cur.append(m.new_var(f"{bank.ad.name}.{v.name}.{j}"))
-                    nxt.append(m.new_var(f"{bank.ad.name}.{v.name}.{j}'"))
-                bank.loc_cur[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(cur))
-                bank.loc_next[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(nxt))
+        pair = [(bank, decls[i]) for bank, decls in ((left, l1), (right, l2))
+                if i < len(decls)]
+        cur: list[list[int]] = [[] for _ in pair]
+        nxt: list[list[int]] = [[] for _ in pair]
+        for j in range(max(_width(v.lo, v.hi) for _, v in pair)):
+            for k, (bank, v) in enumerate(pair):
+                if j < _width(v.lo, v.hi):
+                    cur[k].append(m.new_var(f"{bank.ad.name}.{v.name}.{j}"))
+                    nxt[k].append(m.new_var(f"{bank.ad.name}.{v.name}.{j}'"))
+        for (bank, v), c, n in zip(pair, cur, nxt):
+            bank.loc_cur[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(c))
+            bank.loc_next[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(n))
 
 
 def _input_match(m: BddManager, left: AdBank, right: AdBank, shared: set[str]) -> int:
@@ -382,13 +370,3 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
         init = m.band(init, m.value_cube(bank.loc_cur[v.name], v.init))
     bank.init = m.band(init, dom)
 
-
-def _labeled_relation(enc: ProductEncoding, bank: AdBank) -> SymbolicRelation:
-    m = enc.manager
-    node = FALSE
-    for name, t in bank.t_by_action.items():
-        node = m.bor(node, m.band(enc.label_cube(name), t))
-    return SymbolicRelation(
-        m, node, bank.state_pairs(),
-        label_levels=enc.label.levels,
-        rigid_levels=tuple(bank.input_levels()))

@@ -39,10 +39,6 @@ class IndexOutOfRangeError(BddError):
     """A level outside the manager's allocation."""
 
 
-class UnpairedBundleError(BddError):
-    """A relation operand strays outside the declared variable banks."""
-
-
 class BddManager:
     def __init__(self) -> None:
         self._level: list[int] = [_TERMINAL, _TERMINAL]
@@ -549,69 +545,3 @@ class SymbolicSet:
 
 def mk_var(manager: BddManager, index: int) -> SymbolicSet:
     return SymbolicSet(manager, manager.var(index))
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolicRelation:
-    """Transition relation over (current, label, next) variable banks.
-
-    Rigid levels (say, read-only inputs with no next-state copy) may
-    appear on either side of a product; they are never quantified and
-    never renamed.
-    """
-
-    manager: BddManager
-    node: int
-    pairs: tuple[tuple[int, int], ...]  # (current level, next level)
-    label_levels: tuple[int, ...] = ()
-    rigid_levels: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        flat = [lvl for pair in self.pairs for lvl in pair]
-        flat.extend(self.label_levels)
-        flat.extend(self.rigid_levels)
-        if len(set(flat)) != len(flat):
-            raise UnpairedBundleError("current/next/label banks overlap")
-
-    @property
-    def current_levels(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.pairs)
-
-    @property
-    def next_levels(self) -> tuple[int, ...]:
-        return tuple(n for _, n in self.pairs)
-
-    def to_next(self) -> dict[int, int]:
-        return {c: n for c, n in self.pairs}
-
-    def to_current(self) -> dict[int, int]:
-        return {n: c for c, n in self.pairs}
-
-    def _check_side(self, x: SymbolicSet, allowed: set[int]) -> None:
-        if x.manager is not self.manager:
-            raise ManagerMismatchError("relation and set come from different managers")
-        stray = [lvl for lvl in self.manager.support(x.node) if lvl not in allowed]
-        if stray:
-            raise UnpairedBundleError(f"set mentions levels outside the paired banks: {stray}")
-
-
-def relprod_pre(t: SymbolicRelation, x: SymbolicSet) -> SymbolicSet:
-    """{ s | exists label, s': T(s, label, s') and X(s') }.
-
-    X is given over the next bank (label and rigid levels allowed);
-    the result lands on the current bank.
-    """
-    t._check_side(x, set(t.next_levels) | set(t.label_levels) | set(t.rigid_levels))
-    m = t.manager
-    qs = list(t.next_levels) + list(t.label_levels)
-    return SymbolicSet(m, m.and_exists(t.node, x.node, qs))
-
-
-def relprod_post(t: SymbolicRelation, x: SymbolicSet) -> SymbolicSet:
-    """Forward image of X (over the current bank), renamed back onto
-    the current bank so images can be iterated."""
-    t._check_side(x, set(t.current_levels) | set(t.label_levels) | set(t.rigid_levels))
-    m = t.manager
-    qs = list(t.current_levels) + list(t.label_levels)
-    img = m.and_exists(t.node, x.node, qs)
-    return SymbolicSet(m, m.rename(img, t.to_current()))

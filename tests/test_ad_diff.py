@@ -100,7 +100,7 @@ def test_layer_chain_counts_forcing_distance():
 
     traces = forward_split(enc, layers)
     assert [st.actions for st in traces] == [("a", "b", "c", "d")]
-    rep = concretize(enc, layers, traces[0])
+    rep = concretize(enc, traces[0])
     assert rep.actions == ("a", "b", "c", "d")
     assert rep.valuation == ()
     assert len(rep.configs) == 5

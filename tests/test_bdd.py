@@ -17,13 +17,9 @@ from semdiff.bdd import (
     EmptySetError,
     IndexOutOfRangeError,
     ManagerMismatchError,
-    SymbolicRelation,
     SymbolicSet,
-    UnpairedBundleError,
     VarBundle,
     mk_var,
-    relprod_post,
-    relprod_pre,
 )
 from ttable import eval_bdd, eval_mask, full_mask, gen_formula, run_random_suite, var_mask
 
@@ -304,81 +300,6 @@ def test_cross_manager_operands_rejected(m):
     other.new_var("x")
     with pytest.raises(ManagerMismatchError):
         mk_var(m, 0) & mk_var(other, 0)
-
-
-# -- relations ---------------------------------------------------------------
-
-
-def rel_manager():
-    m = BddManager()
-    cur = tuple(m.new_var(f"s{i}") for i in range(2))
-    nxt = tuple(m.new_var(f"s{i}'") for i in range(2))
-    lab = m.new_var("act")
-    return m, cur, nxt, lab
-
-
-def state_cube(m, lvls, value):
-    return m.cube({lvls[0]: bool(value & 2), lvls[1]: bool(value & 1)})
-
-
-def test_relprod_matches_explicit_edges():
-    m, cur, nxt, lab = rel_manager()
-    rng = random.Random(21)
-    edges = {(s, a, t) for s in range(4) for a in range(2) for t in range(4)
-             if rng.random() < 0.4}
-    node = FALSE
-    for s, a, t in edges:
-        trip = m.band(state_cube(m, cur, s), state_cube(m, nxt, t))
-        trip = m.band(trip, m.var(lab) if a else m.nvar(lab))
-        node = m.bor(node, trip)
-    rel = SymbolicRelation(m, node, pairs=tuple(zip(cur, nxt)), label_levels=(lab,))
-
-    for seed_states in ({0}, {1, 3}, {0, 1, 2, 3}):
-        x_cur = SymbolicSet(m, FALSE)
-        x_nxt = SymbolicSet(m, FALSE)
-        for s in seed_states:
-            x_cur |= SymbolicSet(m, state_cube(m, cur, s))
-            x_nxt |= SymbolicSet(m, state_cube(m, nxt, s))
-
-        post = {t for (s, _, t) in edges if s in seed_states}
-        expect = FALSE
-        for t in post:
-            expect = m.bor(expect, state_cube(m, cur, t))
-        assert relprod_post(rel, x_cur).node == expect
-
-        pre = {s for (s, _, t) in edges if t in seed_states}
-        expect = FALSE
-        for s in pre:
-            expect = m.bor(expect, state_cube(m, cur, s))
-        assert relprod_pre(rel, x_nxt).node == expect
-
-
-def test_rigid_levels_survive_the_product():
-    # next state copies a read-only input; the image keeps the input veto
-    m = BddManager()
-    cur, nxt, rin = m.new_var("s"), m.new_var("s'"), m.new_var("r")
-    t = SymbolicRelation(m, m.bnot(m.bxor(m.var(nxt), m.var(rin))),
-                         pairs=((cur, nxt),), rigid_levels=(rin,))
-    img = relprod_post(t, SymbolicSet(m, m.var(rin)))
-    assert img.node == m.band(m.var(cur), m.var(rin))
-
-
-def test_relation_bank_overlap_rejected():
-    m = BddManager()
-    a, b = m.new_var(), m.new_var()
-    with pytest.raises(UnpairedBundleError):
-        SymbolicRelation(m, TRUE, pairs=((a, b),), label_levels=(a,))
-
-
-def test_relation_rejects_stray_and_foreign_sets():
-    m, cur, nxt, lab = rel_manager()
-    rel = SymbolicRelation(m, TRUE, pairs=tuple(zip(cur, nxt)), label_levels=(lab,))
-    stray = m.new_var("other")
-    with pytest.raises(UnpairedBundleError, match="outside"):
-        relprod_post(rel, SymbolicSet(m, m.var(stray)))
-    other = BddManager()
-    with pytest.raises(ManagerMismatchError):
-        relprod_post(rel, other.true_set)
 
 
 # -- bookkeeping ---------------------------------------------------------------
