@@ -1,19 +1,22 @@
 """Bounded witness search between two class diagrams.
 
-A witness is an object model valid in cd1 and invalid in cd2.  The summary
-algorithm finds one witness, blocks its instantiated class set, and repeats
-until the bounded search is exhausted, so it terminates after at most
-2^|classes| rounds with one representative per reachable class set.
+A witness is an object model valid in cd1 and invalid in cd2.  The search
+visits object universes (class multisets within scope) in one order:
+ascending object count, class sets in canonical order, object counts in
+composition order.  The summary makes one pass over it and keeps the first
+witness of each class set, skipping the set from then on, so it decides
+each universe at most once.  A class set is skipped up front when one of
+its classes needs a partner (an end with lo >= 1) that no class in the set
+conforms to: no cd1-instance instantiates such a set.
 
-Per object universe (a class multiset within scope), witness existence is
-decided exactly instead of by enumerating link sets: multiplicities bound
-each object's per-position link count, so one association's admissible link
-sets are the integral flows of a small bipartite network with degree ranges.
-The search builds a canonical minimal instance, and if that already conforms
-to cd2 it retries with one violation pinned (a link cd2 forbids, or a
-partner count outside cd2's range); if no pin is feasible, no instance over
-the universe can violate cd2, because cd2 checks links and per-object counts
-independently.
+Per universe, witness existence is decided exactly instead of by
+enumerating link sets: multiplicities bound each object's per-position link
+count, so one association's admissible link sets are the integral flows of
+a small bipartite network with degree ranges.  The search builds a
+canonical minimal instance, and if that already conforms to cd2 it retries
+with one violation pinned (a link cd2 forbids, or a partner count outside
+cd2's range); if no pin is feasible, no instance over the universe can
+violate cd2, because cd2 checks links and per-object counts independently.
 """
 
 from __future__ import annotations
@@ -43,14 +46,6 @@ ClassSet = tuple[str, ...]  # sorted class names
 
 def _as_scope(scope: "Scope | int") -> Scope:
     return scope if isinstance(scope, Scope) else Scope(scope)
-
-
-def _check_blocked(cd1: ClassDiagram, blocked: frozenset[ClassSet]) -> frozenset[ClassSet]:
-    concrete = set(cd1.concrete_classes())
-    for cs in blocked:
-        if not set(cs) <= concrete:
-            raise ValueError(f"blocked class set {cs} is not over {cd1.name}'s concrete classes")
-    return blocked
 
 
 def _candidate_class_sets(cd1: ClassDiagram, size_cap: int) -> list[ClassSet]:
@@ -133,6 +128,29 @@ def _universe_objects(class_set: ClassSet, counts: tuple[int, ...]):
     return tuple(objects)
 
 
+def _may_instantiate(cd1: ClassDiagram, class_set: ClassSet) -> bool:
+    """False when some class of the set needs a partner (an end with lo >= 1)
+    that no class of the set can be; then no cd1-instance has this set."""
+    for asc in cd1.associations:
+        for own, lo, other in ((asc.class_a, asc.mult_b.lo, asc.class_b),
+                               (asc.class_b, asc.mult_a.lo, asc.class_a)):
+            if lo >= 1 and any(conforms(cd1, c, own) for c in class_set) and \
+               not any(conforms(cd1, c, other) for c in class_set):
+                return False
+    return True
+
+
+def _universes(cd1: ClassDiagram, scope: Scope) -> Iterator[tuple[ClassSet, tuple]]:
+    """(class set, objects) of every universe in search order, pruned."""
+    class_sets = [cs for cs in _candidate_class_sets(cd1, scope.max_objects)
+                  if _may_instantiate(cd1, cs)]
+    for total in range(1, scope.max_objects + 1):
+        for cs in class_sets:
+            if len(cs) <= total:
+                for counts in _count_vectors(total, len(cs)):
+                    yield cs, _universe_objects(cs, counts)
+
+
 def _universe_instances(cd1: ClassDiagram, objects,
                         name: str) -> Iterator[ObjectModel]:
     """All cd1-instances over a fixed object tuple, in backtracking order."""
@@ -147,13 +165,6 @@ def _universe_instances(cd1: ClassDiagram, objects,
             yield from rec(ai + 1, links + chunk)
 
     yield from rec(0, ())
-
-
-def _instances_over(cd1: ClassDiagram, class_set: ClassSet, total: int,
-                    name: str) -> Iterator[ObjectModel]:
-    """cd1-instances instantiating exactly class_set with `total` objects."""
-    for counts in _count_vectors(total, len(class_set)):
-        yield from _universe_instances(cd1, _universe_objects(class_set, counts), name)
 
 
 class _FlowNet:
@@ -320,107 +331,86 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     for asc in sorted(cd1.associations, key=lambda a: a.name):
         a_objs, b_objs = _hosts(cd1, asc, objects)
         asc2 = cd2.association(asc.name)
-        if asc2 is None:
-            # cd2 rejects every link of this name
-            for oa in a_objs:
-                for ob in b_objs:
-                    links = _assoc_links(cd1, asc, objects, forced=(oa, ob))
-                    if links is not None:
-                        return build(asc.name, links)
-            continue
+        # links cd2 rejects: every link when it lacks the name, else bad ends
         for oa in a_objs:
             for ob in b_objs:
-                if conforms(cd2, cls_of[oa], asc2.class_a) and \
+                if asc2 is not None and conforms(cd2, cls_of[oa], asc2.class_a) and \
                    conforms(cd2, cls_of[ob], asc2.class_b):
                     continue
                 links = _assoc_links(cd1, asc, objects, forced=(oa, ob))
                 if links is not None:
                     return build(asc.name, links)
+        if asc2 is None:
+            continue
         # partner counts cd1 allows but cd2 rejects, pinned one object at a
         # time; objects outside cd2's end class are not counted by cd2, and
         # a zero count shared with the canonical instance cannot violate
         hi_a, hi_b = _degree_caps(asc, len(a_objs), len(b_objs))
-        for oa in a_objs:
-            if not conforms(cd2, cls_of[oa], asc2.class_a):
-                continue
-            for v in range(asc.mult_b.lo, hi_a + 1):
-                if asc2.mult_b.contains(v):
+        for side, objs, end, lo, hi, allowed in (
+                ("a", a_objs, asc2.class_a, asc.mult_b.lo, hi_a, asc2.mult_b),
+                ("b", b_objs, asc2.class_b, asc.mult_a.lo, hi_b, asc2.mult_a)):
+            for oid in objs:
+                if not conforms(cd2, cls_of[oid], end):
                     continue
-                links = _assoc_links(cd1, asc, objects, pin=("a", oa, v))
-                if links is not None:
-                    return build(asc.name, links)
-        for ob in b_objs:
-            if not conforms(cd2, cls_of[ob], asc2.class_b):
-                continue
-            for v in range(asc.mult_a.lo, hi_b + 1):
-                if asc2.mult_a.contains(v):
-                    continue
-                links = _assoc_links(cd1, asc, objects, pin=("b", ob, v))
-                if links is not None:
-                    return build(asc.name, links)
+                for v in range(lo, hi + 1):
+                    if allowed.contains(v):
+                        continue
+                    links = _assoc_links(cd1, asc, objects, pin=(side, oid, v))
+                    if links is not None:
+                        return build(asc.name, links)
     return None
 
 
-def find_witness(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int,
-                 blocked: frozenset[ClassSet] = frozenset()) -> ObjectModel | None:
-    """Smallest witness (by object count) whose class set is not blocked.
+def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
+                     scope: Scope) -> Iterator[ObjectModel]:
+    """The first witness of each class set, in search order."""
+    found: set[ClassSet] = set()
+    for cs, objects in _universes(cd1, scope):
+        if cs in found:
+            continue
+        om = _universe_witness(cd1, cd2, objects, "witness")
+        if om is not None:
+            assert not is_instance(om, cd2)
+            found.add(cs)
+            yield om
 
-    Deterministic: ascending object count, candidate class sets in canonical
-    order, object counts in composition order, then the per-universe
-    decision.  Returns None only when no witness exists within the scope.
+
+def find_witness(cd1: ClassDiagram, cd2: ClassDiagram,
+                 scope: Scope | int) -> ObjectModel | None:
+    """Smallest witness by object count, or None when none exists in scope.
+
+    Deterministic: the first witness of the search order the summary uses.
     """
-    scope = _as_scope(scope)
-    blocked = _check_blocked(cd1, frozenset(blocked))
-    for total in range(1, scope.max_objects + 1):
-        for cs in _candidate_class_sets(cd1, total):
-            if cs in blocked:
-                continue
-            for counts in _count_vectors(total, len(cs)):
-                om = _universe_witness(cd1, cd2, _universe_objects(cs, counts), "witness")
-                if om is not None:
-                    assert not is_instance(om, cd2)
-                    return om
-    return None
+    return next(_first_witnesses(cd1, cd2, _as_scope(scope)), None)
 
 
 def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int,
                         limit: int | None = None) -> Iterator[ObjectModel]:
-    """Witnesses in search order, up to `limit`; no class-set blocking.
+    """Witnesses in search order, up to `limit`; every one, not one per set.
 
     Universes the per-universe decision clears are skipped wholesale, so the
     (possibly huge) instance streams only run where a witness is known to
     exist.
     """
-    scope = _as_scope(scope)
     emitted = 0
-    for total in range(1, scope.max_objects + 1):
-        for cs in _candidate_class_sets(cd1, total):
-            for counts in _count_vectors(total, len(cs)):
-                objects = _universe_objects(cs, counts)
-                if _universe_witness(cd1, cd2, objects, "probe") is None:
-                    continue
-                for om in _universe_instances(cd1, objects, f"witness{emitted + 1}"):
-                    if not is_instance(om, cd2):
-                        yield om
-                        emitted += 1
-                        if limit is not None and emitted >= limit:
-                            return
+    for _, objects in _universes(cd1, _as_scope(scope)):
+        if _universe_witness(cd1, cd2, objects, "probe") is None:
+            continue
+        for om in _universe_instances(cd1, objects, f"witness{emitted + 1}"):
+            if not is_instance(om, cd2):
+                yield om
+                emitted += 1
+                if limit is not None and emitted >= limit:
+                    return
 
 
 def cddiff_summary(cd1: ClassDiagram, cd2: ClassDiagram,
                    scope: Scope | int = DEFAULT_SCOPE) -> SummaryReport:
     """One representative witness per instantiated class set, exhaustively."""
-    scope = _as_scope(scope)
-    blocked: set[ClassSet] = set()
-    found: list[ObjectModel] = []
-    for _ in range(2 ** len(cd1.concrete_classes()) + 1):
-        om = find_witness(cd1, cd2, scope, frozenset(blocked))
-        if om is None:
-            break
+    found = list(_first_witnesses(cd1, cd2, _as_scope(scope)))
+    for om in found:
         verdict = check_instance(om, cd1)
         assert verdict.ok, f"engine produced an invalid witness: {verdict.violations}"
-        found.append(om)
-        blocked.add(classes_of(om))
     return summarize(
         found, lambda om: PartitionKey.class_set(classes_of(om)),
         direction=(cd1.name, cd2.name), partition_kind="class-set",

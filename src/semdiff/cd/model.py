@@ -6,7 +6,9 @@ not declare is a violation, not an unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class CdValidationError(ValueError):
@@ -100,16 +102,34 @@ class ClassDiagram:
         return [c.name for c in self.classes if not c.abstract]
 
     def decl(self, name: str) -> ClassDecl | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
+        return self._decls.get(name)
 
     def association(self, name: str) -> Association | None:
-        for a in self.associations:
-            if a.name == name:
-                return a
-        return None
+        return self._assocs.get(name)
+
+    # lookup tables, built on first use; the first declaration of a name wins
+    @cached_property
+    def _decls(self) -> dict[str, ClassDecl]:
+        return {c.name: c for c in reversed(self.classes)}
+
+    @cached_property
+    def _assocs(self) -> dict[str, Association]:
+        return {a.name: a for a in reversed(self.associations)}
+
+    @cached_property
+    def _ancestors(self) -> dict[str, frozenset[str]]:
+        """Names on each declared class's parent walk, itself included; the
+        walk stops after an undeclared name or on a cycle."""
+        out: dict[str, frozenset[str]] = {}
+        for name in self._decls:
+            seen: set[str] = set()
+            cur: str | None = name
+            while cur is not None and cur not in seen:
+                seen.add(cur)
+                decl = self._decls.get(cur)
+                cur = decl.parent if decl is not None else None
+            out[name] = frozenset(seen)
+        return out
 
 
 @dataclass(frozen=True)
@@ -124,12 +144,6 @@ class ObjectModel:
     name: str
     objects: tuple[tuple[str, str], ...]  # (object id, class name)
     links: tuple[Link, ...]
-
-    def class_of(self, obj_id: str) -> str | None:
-        for oid, cls in self.objects:
-            if oid == obj_id:
-                return cls
-        return None
 
 
 def validate_cd(cd: ClassDiagram) -> ClassDiagram:
@@ -192,17 +206,7 @@ def validate_om(om: ObjectModel) -> ObjectModel:
 
 def conforms(cd: ClassDiagram, sub: str, sup: str) -> bool:
     """Reflexive-transitive subclassing; unknown classes conform to nothing."""
-    cur: str | None = sub
-    hops = 0
-    while cur is not None and hops <= len(cd.classes):
-        if cur == sup:
-            return True
-        decl = cd.decl(cur)
-        if decl is None:
-            return False
-        cur = decl.parent
-        hops += 1
-    return False
+    return sub == sup or sup in cd._ancestors.get(sub, ())
 
 
 @dataclass(frozen=True)
@@ -232,6 +236,7 @@ def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
         elif decl.abstract:
             out.append(Violation("abstract-class", f"{oid} instantiates abstract class {cls}", obj=oid))
 
+    cls_of = dict(reversed(om.objects))  # the first declaration of an id wins
     for ln in om.links:
         asc = cd.association(ln.association)
         if asc is None:
@@ -239,8 +244,8 @@ def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
                                  f"link {ln.association} is not declared in {cd.name}",
                                  association=ln.association))
             continue
-        ca = om.class_of(ln.obj_a)
-        cb = om.class_of(ln.obj_b)
+        ca = cls_of.get(ln.obj_a)
+        cb = cls_of.get(ln.obj_b)
         if ca is None or not conforms(cd, ca, asc.class_a):
             out.append(Violation("endpoint",
                                  f"{ln.obj_a} does not conform to {asc.class_a} "
@@ -253,11 +258,12 @@ def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
                                  association=asc.name, obj=ln.obj_b))
 
     # Multiplicities.  A self-link counts once per position.
+    a_deg = Counter((ln.association, ln.obj_a) for ln in om.links)
+    b_deg = Counter((ln.association, ln.obj_b) for ln in om.links)
     for asc in cd.associations:
-        links = [ln for ln in om.links if ln.association == asc.name]
         for oid, cls in om.objects:
             if conforms(cd, cls, asc.class_a):
-                n = sum(1 for ln in links if ln.obj_a == oid)
+                n = a_deg[asc.name, oid]
                 if not asc.mult_b.contains(n):
                     out.append(Violation(
                         "multiplicity",
@@ -265,7 +271,7 @@ def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
                         f"multiplicity is [{asc.mult_b}]",
                         association=asc.name, obj=oid))
             if conforms(cd, cls, asc.class_b):
-                n = sum(1 for ln in links if ln.obj_b == oid)
+                n = b_deg[asc.name, oid]
                 if not asc.mult_a.contains(n):
                     out.append(Violation(
                         "multiplicity",

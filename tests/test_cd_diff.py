@@ -44,18 +44,6 @@ def test_no_witness_between_equal_diagrams(cd_v1, cd_v2):
     assert find_witness(cd_v2, cd_v2, 10) is None
 
 
-def test_blocking_skips_covered_class_sets(cd_v1, cd_v2):
-    first = find_witness(cd_v2, cd_v1, 6)
-    om = find_witness(cd_v2, cd_v1, 6, blocked=frozenset({classes_of(first)}))
-    assert om is not None
-    assert classes_of(om) != classes_of(first)
-
-
-def test_blocked_sets_must_use_concrete_classes(cd_v1, cd_v2):
-    with pytest.raises(ValueError, match="concrete classes"):
-        find_witness(cd_v1, cd_v2, 3, blocked=frozenset({("Ghost",)}))
-
-
 def test_witnesses_get_canonical_object_names(cd_v1, cd_v2):
     om = find_witness(cd_v1, cd_v2, 6)
     for oid, cls in om.objects:

@@ -1,0 +1,186 @@
+"""Seeded random class-diagram pairs, cross-checked against the oracle.
+
+Each seed draws a small diagram (at most four classes, inheritance,
+abstract classes, mixed multiplicities) and a mutated copy of it, through
+`random.Random(seed)` only, so every case is reproducible from its seed.
+The checks compare the bounded search with the exhaustive enumeration of
+`semdiff.oracle` and conformance with a parent walk written here.
+
+The oracle enumerates every link subset of every universe, 2^pairs models
+each, so a draw is repeated (from the same generator) until that total at
+scope 3 stays within ORACLE_BUDGET models.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from semdiff.cd import (Association, ClassDecl, ClassDiagram, MultRange,
+                        cddiff_summary, check_instance, classes_of, conforms,
+                        is_instance, validate_cd)
+from semdiff.cd.diff import _candidate_class_sets, _may_instantiate
+from semdiff.cd.model import UNBOUNDED
+from semdiff.oracle import cd_enumerate_all, enumerate_object_models
+
+SCOPE = 3
+SEEDS = range(12)
+ORACLE_BUDGET = 20_000
+NAMES = ("A", "B", "C", "D")
+MULTS = (MultRange(0, 1), MultRange(1, 1), MultRange(0, UNBOUNDED),
+         MultRange(1, UNBOUNDED), MultRange(0, 2), MultRange(2, 2))
+
+
+def _classes(rng: random.Random, names) -> list[ClassDecl]:
+    """Parents only point backwards, so the hierarchy is acyclic."""
+    out = []
+    for i, name in enumerate(names):
+        parent = rng.choice(names[:i]) if i and rng.random() < 0.4 else None
+        out.append(ClassDecl(name, rng.random() < 0.25, parent))
+    if all(c.abstract for c in out):
+        out[-1] = ClassDecl(out[-1].name, False, out[-1].parent)
+    return out
+
+
+def _mutated(rng: random.Random, cd: ClassDiagram) -> ClassDiagram:
+    names = cd.class_names()
+    classes = []
+    for i, c in enumerate(cd.classes):
+        abstract = c.abstract != (rng.random() < 0.2)
+        parent = c.parent
+        if rng.random() < 0.3:
+            parent = rng.choice((None,) + tuple(names[:i]))
+        classes.append(ClassDecl(c.name, abstract, parent))
+    if all(c.abstract for c in classes):
+        classes[0] = ClassDecl(classes[0].name, False, classes[0].parent)
+    assocs = []
+    for a in cd.associations:
+        if rng.random() < 0.15:
+            continue
+        mult_a, mult_b = a.mult_a, a.mult_b
+        if rng.random() < 0.5:
+            mult_a = rng.choice(MULTS)
+        if rng.random() < 0.5:
+            mult_b = rng.choice(MULTS)
+        assocs.append(Association(a.name, a.class_a, mult_a, a.class_b, mult_b))
+    return validate_cd(ClassDiagram(cd.name + "_mutated", tuple(classes), tuple(assocs)))
+
+
+def _oracle_work(cd: ClassDiagram, scope: int) -> int:
+    """Models the oracle enumerates: 2^pairs summed over its universes."""
+    concrete = cd.concrete_classes()
+
+    def counts(total, k):
+        if k == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(total + 1):
+            for rest in counts(total - first, k - 1):
+                yield (first,) + rest
+
+    work = 0
+    for total in range(1, scope + 1):
+        for vec in counts(total, len(concrete)):
+            n = dict(zip(concrete, vec))
+            pairs = 0
+            for a in cd.associations:
+                na = sum(m for c, m in n.items() if conforms(cd, c, a.class_a))
+                nb = sum(m for c, m in n.items() if conforms(cd, c, a.class_b))
+                pairs += na * nb
+            work += 1 << pairs
+    return work
+
+
+def random_pair(seed: int) -> tuple[ClassDiagram, ClassDiagram]:
+    rng = random.Random(seed)
+    while True:
+        names = NAMES[:rng.randint(2, 4)]
+        assocs = tuple(
+            Association(f"r{i + 1}", rng.choice(names), rng.choice(MULTS),
+                        rng.choice(names), rng.choice(MULTS))
+            for i in range(rng.randint(1, 2)))
+        cd1 = validate_cd(ClassDiagram(f"rand{seed}", tuple(_classes(rng, names)), assocs))
+        cd2 = _mutated(rng, cd1)
+        if max(_oracle_work(cd1, SCOPE), _oracle_work(cd2, SCOPE)) <= ORACLE_BUDGET:
+            return cd1, cd2
+
+
+def _renamed_shuffled(rng: random.Random, cd: ClassDiagram) -> ClassDiagram:
+    classes, assocs = list(cd.classes), list(cd.associations)
+    rng.shuffle(classes)
+    rng.shuffle(assocs)
+    return validate_cd(ClassDiagram(cd.name + "_copy", tuple(classes), tuple(assocs)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_summary_matches_exhaustive_oracle(seed):
+    for cd1, cd2 in (random_pair(seed), random_pair(seed)[::-1]):
+        report = cddiff_summary(cd1, cd2, SCOPE)
+        assert sorted(e.key.names for e in report.entries) == \
+            cd_enumerate_all(cd1, cd2, SCOPE).keys()
+        for e in report.entries:
+            om = e.representative
+            assert check_instance(om, cd1).ok and not is_instance(om, cd2)
+            assert classes_of(om) == e.key.names
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_self_and_refactored_copy_diffs_are_empty(seed):
+    rng = random.Random(f"copy:{seed}")
+    for cd in random_pair(seed):
+        copy = _renamed_shuffled(rng, cd)
+        assert cddiff_summary(cd, cd, SCOPE).entries == []
+        assert cddiff_summary(cd, copy, SCOPE).entries == []
+        assert cddiff_summary(copy, cd, SCOPE).entries == []
+
+
+def _pruned_sets(cd: ClassDiagram) -> list[tuple[str, ...]]:
+    return [cs for cs in _candidate_class_sets(cd, SCOPE) if not _may_instantiate(cd, cs)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pruned_class_sets_have_no_instance(seed):
+    for cd in random_pair(seed):
+        instantiated = {classes_of(om) for om in enumerate_object_models(cd, SCOPE)
+                        if is_instance(om, cd)}
+        assert instantiated.isdisjoint(_pruned_sets(cd))
+
+
+def test_prune_fires_on_some_seed():
+    assert any(_pruned_sets(cd) for seed in SEEDS for cd in random_pair(seed))
+
+
+def _walk_conforms(cd: ClassDiagram, sub: str, sup: str) -> bool:
+    """Follow parents from `sub` for at most len(classes) hops; the first
+    declaration of a name is the one that counts."""
+    parent: dict[str, str | None] = {}
+    for c in cd.classes:
+        parent.setdefault(c.name, c.parent)
+    cur: str | None = sub
+    for _ in range(len(cd.classes) + 1):
+        if cur == sup:
+            return True
+        if cur not in parent:
+            return False
+        cur = parent[cur]
+    return False
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_conforms_matches_a_parent_walk(seed):
+    # unvalidated hierarchies too: duplicates, dangling parents, cycles
+    rng = random.Random(f"conforms:{seed}")
+    names = list(NAMES[:rng.randint(1, 4)])
+    pool = names + ["Ghost"]
+    raw = ClassDiagram("raw", tuple(
+        ClassDecl(rng.choice(names), False,
+                  rng.choice(pool) if rng.random() < 0.7 else None)
+        for _ in range(rng.randint(1, 5))), ())
+    queries = pool + ["Nobody"]
+    for cd in random_pair(seed) + (raw,):
+        for sub in queries:
+            for sup in queries:
+                assert conforms(cd, sub, sup) == _walk_conforms(cd, sub, sup), \
+                    (cd.classes, sub, sup)

@@ -41,8 +41,10 @@ def _cases() -> dict[str, list[str]]:
             cases[f"addiff-{a}-{b}-json-lines"] = argv + ["--format", "json-lines"]
     for a in CDS:
         for b in CDS:
-            cases[f"cddiff-{a}-{b}"] = ["cddiff", str(FIXTURES / f"{a}.cd"),
-                                        str(FIXTURES / f"{b}.cd")]
+            argv = ["cddiff", str(FIXTURES / f"{a}.cd"), str(FIXTURES / f"{b}.cd")]
+            cases[f"cddiff-{a}-{b}"] = argv
+            cases[f"cddiff-{a}-{b}-json-lines"] = argv + ["--format", "json-lines"]
+            cases[f"cddiff-{a}-{b}-no-summary"] = argv + ["--no-summary"]
     return cases
 
 
