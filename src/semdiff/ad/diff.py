@@ -313,13 +313,7 @@ def render_inputs(st: SymbolicTrace) -> str:
     m = st.init_inputs.manager
     parts = []
     for b in st.bundles:
-        values = m.project_values(st.init_inputs.node, b)
-        runs: list[list[int]] = []
-        for v in values:
-            if runs and v == runs[-1][1] + 1:
-                runs[-1][1] = v
-            else:
-                runs.append([v, v])
+        runs = m.value_runs(st.init_inputs.node, b)
         ranges = " ∪ ".join(f"[{lo}..{hi}]" for lo, hi in runs)
         parts.append(f"{b.name} ∈ {ranges}")
     text = "; ".join(parts)
@@ -370,8 +364,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     valuation = tuple(sorted((v.name, chosen[v.name]) for v in ad1.inputs))
 
     pinned = dict(valuation)
-    start = [c for c in initial_configs(ad1)
-             if all(c.env()[k] == v for k, v in pinned.items())]
+    start = initial_configs(ad1, pinned)
     if len(start) != 1:
         raise ReplayMismatchError(
             f"{ad1.name}: {len(start)} initial states for {valuation}")
@@ -380,9 +373,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
         raise ReplayMismatchError(
             f"{ad1.name} cannot replay {list(st.actions)} from {valuation}")
 
-    shared = {v.name for v in ad2.inputs} & set(pinned)
-    states = {c for c in initial_configs(ad2)
-              if all(c.env()[k] == pinned[k] for k in shared)}
+    states = set(initial_configs(ad2, pinned))
     for i, a in enumerate(st.actions[:-1]):
         states = {s.successor for c in states
                   for s in observable_steps(ad2, c) if s.action == a}
@@ -411,14 +402,16 @@ def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
 
 
 def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
-                         *, exact: bool | None = None) -> SummaryReport:
+                         action_lists: SummaryReport) -> SummaryReport:
     """One entry per action-name set.
 
-    The representative is the first trace of the class (the least action
-    list, traces being sorted); the annotation covers the whole class,
-    so it renders the union of the members' input sets.
+    The representative is the one action_lists, the action-list summary
+    of the same traces, holds for the first trace of the class (the
+    least action list, traces being sorted); the annotation covers the
+    whole class, so it renders the union of the members' input sets.
     """
     m = enc.manager
+    reps = {e.key.names: e.representative for e in action_lists.entries}
     clusters: dict[PartitionKey, list[SymbolicTrace]] = {}
     for st in traces:
         clusters.setdefault(PartitionKey.action_set(st.actions), []).append(st)
@@ -428,8 +421,8 @@ def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
         for st in members:
             union = m.bor(union, st.init_inputs.node)
         family = _input_family(enc, members[0].actions, union)
-        rep = concretize(enc, members[0], exact=exact)
-        entries.append(SummaryEntry(key, rep, render_inputs(family)))
+        entries.append(SummaryEntry(key, reps[members[0].actions],
+                                    render_inputs(family)))
     entries.sort(key=lambda e: e.key.payload)
     return SummaryReport((enc.left.ad.name, enc.right.ad.name),
                          "action-set", entries)
@@ -463,9 +456,9 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     exact = trace_exact(ad1, ad2, enc)
     layers = backward_fixpoint(enc, non_correspondence(enc))
     traces = forward_split(enc, layers)
+    lists = summarize_action_list(enc, traces, exact=exact)
     return AdDiffResult(
         ad1.name, ad2.name,
         "trace" if exact else "simulation",
-        tuple(traces),
-        summarize_action_list(enc, traces, exact=exact),
-        summarize_action_set(enc, traces, exact=exact))
+        tuple(traces), lists,
+        summarize_action_set(enc, traces, lists))

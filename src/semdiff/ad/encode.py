@@ -9,17 +9,23 @@ the two diagrams, and sit at the top of the order. The per-action
 transition relation is silent closure followed by one action firing;
 the closure is composed by constant substitution, which works because
 silent firings write nothing but token-bit constants.
+
+Guards, effects and the pairing of shared inputs are compiled bit-wise,
+never by enumerating a domain: an integer expression becomes a
+two's-complement vector of BDD nodes, least significant bit first, wide
+enough for every value its leaves allow, and a comparison is the sign
+bit and zero test of a difference. Each compiled set is conjoined with
+the domains of the bundles it reads, so it is exactly the set of
+in-range valuations the concrete semantics accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
 from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
-                    ActivityDiagram, Node, RangeViolationError, _apply_effects,
-                    eval_bool, expr_vars)
+                    ActivityDiagram, BoolOp, IntLit, Node, Not, Var, expr_vars)
 
 DEFAULT_BIT_BUDGET = 64
 
@@ -190,74 +196,149 @@ def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
             bank.loc_next[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(n))
 
 
+# -- bit vectors ------------------------------------------------------
+#
+# Vectors are two's complement, least significant bit first, and all
+# arithmetic is modulo 2**len.  A vector is exact wherever the value it
+# denotes fits its width; _bound gives the largest magnitude an
+# expression takes on in-range variables, so a width of
+# _bound(...).bit_length() + 1 makes every result exact.
+
+
+def _bound(bank: AdBank, e: object) -> int:
+    if isinstance(e, IntLit):
+        return abs(e.value)
+    if isinstance(e, Var):
+        b = bank.bundle_for(e.name)
+        return max(abs(b.lo), abs(b.hi))
+    return _bound(bank, e.left) + _bound(bank, e.right)
+
+
+def _const(value: int, width: int) -> list[int]:
+    return [TRUE if (value >> i) & 1 else FALSE for i in range(width)]
+
+
+def _resize(vec: list[int], width: int) -> list[int]:
+    return vec[:width] + vec[-1:] * (width - len(vec))
+
+
+def _add(m: BddManager, a: list[int], b: list[int], subtract: bool = False) -> list[int]:
+    carry = TRUE if subtract else FALSE
+    out = []
+    for x, y in zip(a, b):
+        if subtract:
+            y = m.bnot(y)
+        t = m.bxor(x, y)
+        out.append(m.bxor(t, carry))
+        carry = m.bor(m.band(x, y), m.band(carry, t))
+    return out
+
+
+def _bundle_vec(m: BddManager, b: VarBundle) -> list[int]:
+    """lo + the bundle's offset bits; exact on the bundle's domain."""
+    width = max(b.nbits, max(abs(b.lo), abs(b.hi)).bit_length()) + 1
+    bits = [m.var(lvl) for lvl in reversed(b.levels)]
+    return _add(m, _resize(bits + [FALSE], width), _const(b.lo, width))
+
+
+def _int_vec(m: BddManager, e: object, env: dict[str, list[int]],
+             width: int) -> list[int]:
+    if isinstance(e, IntLit):
+        return _const(e.value, width)
+    if isinstance(e, Var):
+        return _resize(env[e.name], width)
+    return _add(m, _int_vec(m, e.left, env, width),
+                _int_vec(m, e.right, env, width), e.op == "-")
+
+
+def _eq(m: BddManager, a: list[int], b: list[int]) -> int:
+    """Equality of two vectors, each exact at its own width."""
+    width = max(len(a), len(b))
+    node = TRUE
+    for x, y in zip(_resize(a, width), _resize(b, width)):
+        node = m.band(node, m.bnot(m.bxor(x, y)))
+    return node
+
+
+def _bool_node(m: BddManager, bank: AdBank, e: object,
+               env: dict[str, list[int]]) -> int:
+    if isinstance(e, Not):
+        return m.bnot(_bool_node(m, bank, e.operand, env))
+    if isinstance(e, BoolOp):
+        a = _bool_node(m, bank, e.left, env)
+        b = _bool_node(m, bank, e.right, env)
+        return m.band(a, b) if e.op == "&&" else m.bor(a, b)
+    width = (_bound(bank, e.left) + _bound(bank, e.right)).bit_length() + 1
+    d = _add(m, _int_vec(m, e.left, env, width),
+             _int_vec(m, e.right, env, width), subtract=True)
+    lt, eq = d[-1], _eq(m, d, _const(0, width))
+    le = m.bor(lt, eq)
+    return {"<": lt, "<=": le, ">": m.bnot(le), ">=": m.bnot(lt),
+            "==": eq, "!=": m.bnot(eq)}[e.op]
+
+
+def _domains(m: BddManager, bundles) -> int:
+    node = TRUE
+    for b in bundles:
+        node = m.band(node, m.domain_cube(b))
+    return node
+
+
 def _input_match(m: BddManager, left: AdBank, right: AdBank, shared: set[str]) -> int:
     eq = TRUE
     for name in sorted(shared):
         b1, b2 = left.input_bundles[name], right.input_bundles[name]
-        lo, hi = max(b1.lo, b2.lo), min(b1.hi, b2.hi)
-        agree = FALSE
-        for v in range(lo, hi + 1):
-            agree = m.bor(agree, m.band(m.value_cube(b1, v), m.value_cube(b2, v)))
-        eq = m.band(eq, agree)
+        agree = _eq(m, _bundle_vec(m, b1), _bundle_vec(m, b2))
+        eq = m.band(eq, m.band(agree, _domains(m, (b1, b2))))
     return eq
 
 
 def _compile_bool(m: BddManager, bank: AdBank, expr: object) -> int:
-    """Truth set of a guard over current-state bits, by enumerating the
-    expression's support valuations through the concrete evaluator."""
-    names = sorted(expr_vars(expr))
-    bundles = [bank.bundle_for(n) for n in names]
-    node = FALSE
-    for values in iter_product(*(range(b.lo, b.hi + 1) for b in bundles)):
-        env = dict(zip(names, values))
-        if eval_bool(expr, env):
-            row = TRUE
-            for b, v in zip(bundles, values):
-                row = m.band(row, m.value_cube(b, v))
-            node = m.bor(node, row)
-    return node
+    """Truth set of a guard over current-state bits: the compiled guard
+    within the domains of the bundles it reads."""
+    bundles = [bank.bundle_for(n) for n in sorted(expr_vars(expr))]
+    env = {b.name: _bundle_vec(m, b) for b in bundles}
+    return m.band(_bool_node(m, bank, expr, env), _domains(m, bundles))
 
 
 def _frame_tokens(m: BddManager, bank: AdBank, touched: set[str]) -> int:
-    frame = TRUE
-    for e in bank.ad.edges:
-        if e.id in touched:
-            continue
-        same = m.bnot(m.bxor(m.var(bank.tok_cur[e.id]), m.var(bank.tok_next[e.id])))
-        frame = m.band(frame, same)
-    return frame
+    keep = [e.id for e in bank.ad.edges if e.id not in touched]
+    return _eq(m, [m.var(bank.tok_cur[e]) for e in keep],
+               [m.var(bank.tok_next[e]) for e in keep])
 
 
 def _frame_locals(m: BddManager, bank: AdBank, touched: set[str]) -> int:
-    frame = TRUE
-    for name, cur in bank.loc_cur.items():
-        if name in touched:
-            continue
-        nxt = bank.loc_next[name]
-        for c, n in zip(cur.levels, nxt.levels):
-            frame = m.band(frame, m.bnot(m.bxor(m.var(c), m.var(n))))
-    return frame
+    keep = [name for name in bank.loc_cur if name not in touched]
+    return _eq(m, [m.var(lvl) for name in keep for lvl in bank.loc_cur[name].levels],
+               [m.var(lvl) for name in keep for lvl in bank.loc_next[name].levels])
 
 
 def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
+    """Current-to-next relation of an action's effects over the locals.
+
+    The effects run left to right over symbolic vectors, so later ones
+    see earlier writes; a valuation where some write leaves its range
+    never fires.  Each target's next bundle equals its final value and
+    every other local keeps its value."""
     if not node.effects:
         return _frame_locals(m, bank, set())
     targets = [var for var, _ in node.effects]
-    involved = sorted(set(targets).union(*(expr_vars(x) for _, x in node.effects)))
-    bundles = [bank.bundle_for(n) for n in involved]
-    rel = FALSE
-    for values in iter_product(*(range(b.lo, b.hi + 1) for b in bundles)):
-        env = dict(zip(involved, values))
-        try:
-            final = _apply_effects(bank.ad, node, env)
-        except RangeViolationError:
-            continue  # that valuation never fires symbolically
-        row = TRUE
-        for b, v in zip(bundles, values):
-            row = m.band(row, m.value_cube(b, v))
-        for t in targets:
-            row = m.band(row, m.value_cube(bank.loc_next[t], final[t]))
-        rel = m.bor(rel, row)
+    involved = [bank.bundle_for(n) for n in
+                sorted(set(targets).union(*(expr_vars(x) for _, x in node.effects)))]
+    env = {b.name: _bundle_vec(m, b) for b in involved}
+    rel = _domains(m, involved)
+    for var, expr in node.effects:
+        b = bank.loc_cur[var]
+        width = (_bound(bank, expr) + max(abs(b.lo), abs(b.hi))).bit_length() + 1
+        val = _int_vec(m, expr, env, width)
+        for low, high in ((_const(b.lo, width), val), (val, _const(b.hi, width))):
+            # low <= high iff the sign bit of high - low is clear
+            rel = m.band(rel, m.bnot(_add(m, high, low, subtract=True)[-1]))
+        env[var] = val
+    # each final value is in range here, and the bundle's out-of-domain
+    # patterns denote values outside it, so equality pins the domain too
+    for t in sorted(set(targets)):
+        rel = m.band(rel, _eq(m, _bundle_vec(m, bank.loc_next[t]), env[t]))
     return m.band(rel, _frame_locals(m, bank, set(targets)))
 
 
@@ -340,10 +421,7 @@ def _compose_closure(m: BddManager, base: int,
 
 def _compile_bank(m: BddManager, bank: AdBank) -> None:
     ad = bank.ad
-    dom = TRUE
-    for b in bank.input_bundles.values():
-        dom = m.band(dom, m.domain_cube(b))
-    bank.input_domain = dom
+    bank.input_domain = dom = _domains(m, bank.input_bundles.values())
 
     firings = _silent_firings(m, bank)
     quiet = TRUE

@@ -383,41 +383,24 @@ def validate_ad(ad: ActivityDiagram) -> ActivityDiagram:
     return ad
 
 
-def decision_warnings(ad: ActivityDiagram) -> list[str]:
-    """Decisions whose guards provably leave some valuation with no exit.
-
-    Checked by enumerating the guards' support variables; purely advisory
-    (a stuck decision at run time just deadlocks that branch).
-    """
-    out: list[str] = []
-    ranges = {v.name: (v.lo, v.hi) for v in ad.variables()}
-    for n in ad.nodes:
-        if n.kind != DECISION:
-            continue
-        guards = [e.guard for e in ad.out_edges(n.id)]
-        support = sorted(set().union(*(expr_vars(g) for g in guards)) if guards else set())
-        envs: list[dict[str, int]] = [{}]
-        for v in support:
-            lo, hi = ranges[v]
-            envs = [dict(env, **{v: x}) for env in envs for x in range(lo, hi + 1)]
-        for env in envs:
-            if not any(eval_bool(g, env) for g in guards):
-                out.append(f"{n.id}: no guard holds for {env}")
-                break
-    return out
-
-
-def initial_configs(ad: ActivityDiagram) -> list[Configuration]:
+def initial_configs(ad: ActivityDiagram,
+                    pinned: dict[str, int] | None = None) -> list[Configuration]:
     """One configuration per input valuation, token on the initial out-edge.
 
     Valuations are enumerated in lexicographic order of the declared inputs.
+    An input named in pinned takes only its pinned value, or none when
+    that value is out of its range; other names in pinned are ignored.
     """
     init_node = next(n for n in ad.nodes if n.kind == INITIAL)
     start_edge = ad.out_edges(init_node.id)[0]
     base = {v.name: v.init for v in ad.locals}
+    pinned = pinned or {}
     combos: list[dict[str, int]] = [{}]
     for v in ad.inputs:
-        combos = [dict(c, **{v.name: x}) for c in combos for x in range(v.lo, v.hi + 1)]
+        values = range(v.lo, v.hi + 1)
+        if v.name in pinned:
+            values = [pinned[v.name]] if pinned[v.name] in values else []
+        combos = [dict(c, **{v.name: x}) for c in combos for x in values]
     return [Configuration.make({start_edge.id}, {**base, **c}) for c in combos]
 
 
@@ -542,9 +525,6 @@ class ExplicitTS:
     states: list[Configuration]
     initial: list[int]
     steps: list[list[tuple[str, int]]]  # per state: (action, successor index)
-
-    def index(self) -> dict[Configuration, int]:
-        return {c: i for i, c in enumerate(self.states)}
 
 
 def build_explicit_ts(ad: ActivityDiagram, *, state_budget: int = 100_000) -> ExplicitTS:

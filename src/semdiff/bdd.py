@@ -378,22 +378,6 @@ class BddManager:
                 u = self._high[u]
         return path
 
-    def dump(self, u: int) -> list[tuple[int, int, int, int]]:
-        """Reachable internal nodes as (id, level, low, high). Debugging
-        aid; not a stability-guaranteed format."""
-        out: list[tuple[int, int, int, int]] = []
-        seen: set[int] = set()
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x < 2 or x in seen:
-                continue
-            seen.add(x)
-            out.append((x, self._level[x], self._low[x], self._high[x]))
-            stack.append(self._low[x])
-            stack.append(self._high[x])
-        return sorted(out)
-
     def audit(self) -> dict[str, int]:
         """Verify table invariants; raises BddError on any breach."""
         n = len(self._level)
@@ -438,20 +422,54 @@ class BddManager:
                 node = self._make(lvl, node, FALSE)
         return node
 
-    def pick_least(self, u: int, bundle: VarBundle) -> tuple[int, int]:
-        """Smallest bundle value in the set, plus the narrowed set."""
-        for value in range(bundle.lo, bundle.hi + 1):
-            t = self.band(u, self.value_cube(bundle, value))
-            if t != FALSE:
-                return value, t
-        raise EmptySetError(f"no value of {bundle.name} satisfies the set")
+    def _projection(self, u: int, bundle: VarBundle) -> int:
+        # the bundle's in-range values some valuation of u takes
+        own = set(bundle.levels)
+        shadow = self.exists(u, [lvl for lvl in self.support(u) if lvl not in own])
+        return self.band(shadow, self.domain_cube(bundle))
+
+    def value_runs(self, u: int, bundle: VarBundle) -> list[tuple[int, int]]:
+        """Maximal runs [lo..hi] of the bundle's values in u, ascending.
+
+        Walks the projection most significant bit first, low branch
+        first; a TRUE subtree at depth i is a whole aligned block of
+        2**(nbits - i) values."""
+        n = bundle.nbits
+        runs: list[list[int]] = []
+        stack = [(self._projection(u, bundle), 0, 0)]
+        while stack:
+            x, i, prefix = stack.pop()
+            if x == FALSE:
+                continue
+            if x == TRUE:
+                lo = bundle.lo + (prefix << (n - i))
+                hi = lo + (1 << (n - i)) - 1
+                if runs and runs[-1][1] == lo - 1:
+                    runs[-1][1] = hi
+                else:
+                    runs.append([lo, hi])
+                continue
+            low, high = self._cof(x, bundle.levels[i])
+            stack.append((high, i + 1, 2 * prefix + 1))
+            stack.append((low, i + 1, 2 * prefix))
+        return [(lo, hi) for lo, hi in runs]
 
     def project_values(self, u: int, bundle: VarBundle) -> tuple[int, ...]:
-        own = set(bundle.levels)
-        others = [lvl for lvl in self.support(u) if lvl not in own]
-        shadow = self.exists(u, others)
-        return tuple(v for v in range(bundle.lo, bundle.hi + 1)
-                     if self.band(shadow, self.value_cube(bundle, v)) != FALSE)
+        return tuple(v for lo, hi in self.value_runs(u, bundle)
+                     for v in range(lo, hi + 1))
+
+    def pick_least(self, u: int, bundle: VarBundle) -> tuple[int, int]:
+        """Smallest bundle value in the set, plus the narrowed set."""
+        x = self._projection(u, bundle)
+        if x == FALSE:
+            raise EmptySetError(f"no value of {bundle.name} satisfies the set")
+        off = 0
+        for lvl in bundle.levels:
+            low, high = self._cof(x, lvl)
+            off = 2 * off + (low == FALSE)
+            x = high if low == FALSE else low
+        value = bundle.lo + off
+        return value, self.band(u, self.value_cube(bundle, value))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ def _cases() -> dict[str, list[str]]:
             argv = ["addiff", str(FIXTURES / f"{a}.ad"), str(FIXTURES / f"{b}.ad")]
             cases[f"addiff-{a}-{b}"] = argv
             cases[f"addiff-{a}-{b}-json-lines"] = argv + ["--format", "json-lines"]
+            cases[f"addiff-{a}-{b}-both"] = argv + ["--both"]
+            cases[f"addiff-{a}-{b}-no-summary"] = argv + ["--no-summary"]
     for a in CDS:
         for b in CDS:
             argv = ["cddiff", str(FIXTURES / f"{a}.cd"), str(FIXTURES / f"{b}.cd")]
