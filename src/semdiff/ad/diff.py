@@ -18,9 +18,8 @@ labelled accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
+from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryEntry, SummaryReport
 from .encode import DEFAULT_BIT_BUDGET, AdBank, ProductEncoding, encode_product
 from .model import (ActivityDiagram, Configuration, initial_configs,

@@ -21,9 +21,8 @@ in-range valuations the concrete semantics accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
+from ..record import field, record as dataclass
 from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
                     ActivityDiagram, BoolOp, IntLit, Node, Not, Var, expr_vars)
 

@@ -9,7 +9,8 @@ observable steps are the raw post-action ones.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+
+from ..record import record as dataclass
 
 
 # ---------------------------------------------------------------- expressions

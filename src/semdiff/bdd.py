@@ -10,7 +10,8 @@ there is no dynamic reordering and no complement edges.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+
+from .record import record as dataclass
 
 FALSE = 0
 TRUE = 1

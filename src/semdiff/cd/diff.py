@@ -21,10 +21,10 @@ violate cd2, because cd2 checks links and per-object counts independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryReport, summarize
 from .model import (UNBOUNDED, Association, ClassDiagram, Link, ObjectModel,
                     check_instance, classes_of, conforms, is_instance)
@@ -273,13 +273,15 @@ def _degree_caps(asc: Association, n_a: int, n_b: int) -> tuple[int, int]:
 
 def _assoc_links(cd1: ClassDiagram, asc: Association, objects,
                  forced: tuple[str, str] | None = None,
-                 pin: tuple[str, str, int] | None = None) -> tuple[Link, ...] | None:
+                 pin: tuple[str, str, int] | None = None,
+                 hosts=None) -> tuple[Link, ...] | None:
     """Links for one association within cd1's multiplicities, or None.
 
     `forced` requires the given (obj_a, obj_b) link; `pin` fixes one object's
     partner count to an exact value ("a" pins a position-A object's count).
+    `hosts` is `_hosts(cd1, asc, objects)` when the caller already has it.
     """
-    a_objs, b_objs = _hosts(cd1, asc, objects)
+    a_objs, b_objs = hosts if hosts is not None else _hosts(cd1, asc, objects)
     hi_a, hi_b = _degree_caps(asc, len(a_objs), len(b_objs))
     a_rng = [(asc.mult_b.lo, hi_a)] * len(a_objs)
     b_rng = [(asc.mult_a.lo, hi_b)] * len(b_objs)
@@ -308,8 +310,10 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     cd1-instance, so conformance of the canonical instance rules those out.
     """
     base: dict[str, tuple[Link, ...]] = {}
+    hosts: dict[str, tuple[list[str], list[str]]] = {}  # per universe, not per call
     for asc in cd1.associations:
-        links = _assoc_links(cd1, asc, objects)
+        hosts[asc.name] = _hosts(cd1, asc, objects)
+        links = _assoc_links(cd1, asc, objects, hosts=hosts[asc.name])
         if links is None:
             return None  # universe admits no cd1-instance
         base[asc.name] = links
@@ -329,7 +333,7 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
 
     cls_of = dict(objects)
     for asc in sorted(cd1.associations, key=lambda a: a.name):
-        a_objs, b_objs = _hosts(cd1, asc, objects)
+        a_objs, b_objs = hosts[asc.name]
         asc2 = cd2.association(asc.name)
         # links cd2 rejects: every link when it lacks the name, else bad ends
         for oa in a_objs:
@@ -337,7 +341,8 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
                 if asc2 is not None and conforms(cd2, cls_of[oa], asc2.class_a) and \
                    conforms(cd2, cls_of[ob], asc2.class_b):
                     continue
-                links = _assoc_links(cd1, asc, objects, forced=(oa, ob))
+                links = _assoc_links(cd1, asc, objects, forced=(oa, ob),
+                                     hosts=hosts[asc.name])
                 if links is not None:
                     return build(asc.name, links)
         if asc2 is None:
@@ -355,7 +360,8 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
                 for v in range(lo, hi + 1):
                     if allowed.contains(v):
                         continue
-                    links = _assoc_links(cd1, asc, objects, pin=(side, oid, v))
+                    links = _assoc_links(cd1, asc, objects, pin=(side, oid, v),
+                                         hosts=hosts[asc.name])
                     if links is not None:
                         return build(asc.name, links)
     return None
@@ -396,10 +402,10 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int
     for _, objects in _universes(cd1, _as_scope(scope)):
         if _universe_witness(cd1, cd2, objects, "probe") is None:
             continue
-        for om in _universe_instances(cd1, objects, f"witness{emitted + 1}"):
+        for om in _universe_instances(cd1, objects, "witness"):
             if not is_instance(om, cd2):
-                yield om
-                emitted += 1
+                emitted += 1  # each witness is named by its own ordinal
+                yield ObjectModel(f"witness{emitted}", om.objects, om.links)
                 if limit is not None and emitted >= limit:
                     return
 

@@ -7,8 +7,9 @@ not declare is a violation, not an unknown.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+
+from ..record import record as dataclass
 
 
 class CdValidationError(ValueError):

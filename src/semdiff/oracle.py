@@ -8,12 +8,12 @@ Desk scale only; the engines are tested against these, never built on them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import product
 
 from .ad.model import (ActivityDiagram, Configuration, initial_configs,
                        observable_steps)
 from .cd.model import ClassDiagram, Link, ObjectModel, classes_of, is_instance
+from .record import record as dataclass
 
 
 class ScopeTooLargeError(ValueError):

@@ -6,13 +6,12 @@ are exact inverses on models: parse(print(m)) == m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ad.model import (ActivityDiagram, Arith, BoolOp, Cmp, Edge, IntLit, Node,
                        Not, Var, VarDecl, ACTION, NODE_KINDS, check_bool_expr,
                        check_int_expr, ExprTypeError)
 from .cd.model import (Association, ClassDecl, ClassDiagram, Link, MultRange,
                        ObjectModel, UNBOUNDED)
+from .record import record as dataclass
 
 
 class ParseError(ValueError):
@@ -123,6 +122,10 @@ class _Parser:
             raise self.error("expected integer")
         return int(self.next().value)
 
+    def signed(self) -> int:
+        """An integer with an optional leading '-' (ranges, literals)."""
+        return -self.integer() if self.accept("-") else self.integer()
+
     # expressions: || < && < ! < comparison < additive < primary
     def expression(self) -> object:
         return self._or()
@@ -168,11 +171,8 @@ class _Parser:
             e = self.expression()
             self.expect(")")
             return e
-        if t.value == "-" and t.kind == "punct":
-            self.next()
-            return IntLit(-self.integer())
-        if t.kind == "int":
-            return IntLit(self.integer())
+        if t.value == "-" or t.kind == "int":
+            return IntLit(self.signed())
         if t.kind == "ident":
             return Var(self.ident())
         raise self.error("expected an expression")
@@ -295,9 +295,9 @@ def parse_ad(text: str, source: str | None = None) -> ActivityDiagram:
         p.next()
         vname = p.ident("variable name")
         p.expect(":")
-        lo = p.integer()
+        lo = p.signed()
         p.expect("..")
-        hi = p.integer()
+        hi = p.signed()
         p.expect(";")
         inputs.append(VarDecl(vname, lo, hi))
     locals_: list[VarDecl] = []
@@ -305,11 +305,11 @@ def parse_ad(text: str, source: str | None = None) -> ActivityDiagram:
         p.next()
         vname = p.ident("variable name")
         p.expect(":")
-        lo = p.integer()
+        lo = p.signed()
         p.expect("..")
-        hi = p.integer()
+        hi = p.signed()
         p.expect("=")
-        init = p.integer()
+        init = p.signed()
         p.expect(";")
         locals_.append(VarDecl(vname, lo, hi, init))
     nodes: list[Node] = []

@@ -7,8 +7,9 @@ function; this module only knows about keys, ordering and the fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .record import field, record as dataclass
 
 
 class PartitionKeyError(ValueError):

@@ -122,6 +122,14 @@ def test_enumeration_orders_by_object_count(cd_v1, cd_v2):
     assert sizes == sorted(sizes)
 
 
+@pytest.mark.parametrize("limit", [None, 7])
+def test_enumerated_witnesses_are_named_by_their_ordinal(cd_v1, cd_v2, limit):
+    # several witnesses share a universe; each still gets its own name
+    ws = list(enumerate_witnesses(cd_v2, cd_v1, 3, limit=limit))
+    assert [w.name for w in ws] == [f"witness{i}" for i in range(1, len(ws) + 1)]
+    assert len({(w.objects, w.links) for w in ws}) == len(ws)
+
+
 # ----------------------------------------------- per-universe decision bits
 
 def test_universe_decision_agrees_with_summary_keys(cd_v1, cd_v2):

@@ -126,3 +126,31 @@ def test_ad_effects_and_guards_round_trip():
 def test_comments_and_whitespace_are_ignored():
     om = parse_od("// heading\nobjectdiagram o {\n  // nothing here\n}\n")
     assert om.name == "o" and om.objects == ()
+
+
+@pytest.mark.parametrize("decls,ranges", [
+    ("input a : -2..3;", {"a": (-2, 3, None)}),
+    ("input a : -5..-1;", {"a": (-5, -1, None)}),
+    ("local c : -4..4 = -3;", {"c": (-4, 4, -3)}),
+    ("input a : -5..-1; local c : -4..4 = -3;",
+     {"a": (-5, -1, None), "c": (-4, 4, -3)}),
+])
+def test_negative_bounds_round_trip(decls, ranges):
+    src = f"""activitydiagram t {{
+      {decls}
+      initial i;
+      action a1;
+      final f;
+      edge i -> a1;
+      edge a1 -> f;
+    }}"""
+    ad = parse_ad(src)
+    assert {v.name: (v.lo, v.hi, v.init) for v in ad.variables()} == ranges
+    printed = print_ad(ad)
+    assert parse_ad(printed) == ad
+    assert print_ad(parse_ad(printed)) == printed
+
+
+def test_multiplicities_stay_unsigned():
+    with pytest.raises(ParseError, match="expected integer"):
+        parse_cd("classdiagram t { class A; association w [-1..2] A -- A [*]; }")
