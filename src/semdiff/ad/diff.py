@@ -22,8 +22,8 @@ from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
 from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryEntry, SummaryReport
 from .encode import DEFAULT_BIT_BUDGET, AdBank, ProductEncoding, encode_product
-from .model import (ActivityDiagram, Configuration, initial_configs,
-                    observable_steps)
+from .model import (ActivityDiagram, Configuration, ObservableStep,
+                    initial_configs, observable_steps)
 
 
 class ReplayMismatchError(RuntimeError):
@@ -140,11 +140,11 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
 
     A pair joins layer k+1 when for some action the left diagram has a
     successor, the action is enabled on the right, and every right
-    successor lands the pair in layer k.  Inputs have no next-state
-    copy, so they pass through the step untouched.  The step at a
-    reachable pair reads only that pair's successors, which are
-    reachable too, so each layer is exactly the unrestricted layer
-    intersected with reachable_pairs.
+    successor lands the pair in layer k, that is ¬∃nxt2.(T2 ∧ ¬D'), one
+    and_exists pass.  Inputs have no next-state copy, so they pass
+    through the step untouched.  The step at a reachable pair reads only
+    that pair's successors, which are reachable too, so each layer is
+    exactly the unrestricted layer intersected with reachable_pairs.
     """
     m = enc.manager
     reach = reachable_pairs(enc).node
@@ -155,7 +155,7 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
     d = m.band(d0.node, reach)
     layers = [d]
     while True:
-        dn = m.rename(d, ren)
+        outside = m.bnot(m.rename(d, ren))
         step = FALSE
         for a in enc.alphabet:
             t1 = enc.left.t_by_action.get(a, FALSE)
@@ -164,7 +164,7 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
                 # no left move, or divergence already charged to d0
                 continue
             t2 = enc.right.t_by_action[a]
-            replies = m.forall(m.bor(m.bnot(t2), dn), nxt2)
+            replies = m.bnot(m.and_exists(t2, outside, nxt2))
             step = m.bor(step, m.and_exists(t1, m.band(en2, replies), nxt1))
         new = m.bor(d, m.band(step, reach))
         if new == d:
@@ -193,20 +193,41 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
     state can pair with never enter the game, yet the right diagram has
     no run at all there, so each of their first actions diverges; they
     are emitted as one-action traces.
+
+    A node's children depend only on its pair set and depth: the layer
+    below and the per-action relations are fixed for the call.
+    Interleavings converge on the same pair sets, so each (pairs, depth)
+    is expanded once and its children serve every prefix reaching it.
     """
     m = enc.manager
     report = enc.report_levels()
     found: dict[tuple[str, ...], int] = {}
 
-    def emit(key: tuple[str, ...], leaf: int) -> None:
+    def emit(key: tuple[str, ...], inputs: int) -> None:
+        found[key] = m.bor(found.get(key, FALSE), inputs)
+
+    def project(leaf: int) -> int:
         # inputs are rigid, so projecting the leaf recovers the
         # valuations the whole branch started from
-        inputs = m.exists(leaf, [lvl for lvl in m.support(leaf)
-                                 if lvl not in report])
-        found[key] = m.bor(found.get(key, FALSE), inputs)
+        return m.exists(leaf, [lvl for lvl in m.support(leaf) if lvl not in report])
+
+    def expand(pairs: int, d: int) -> list[tuple[str, int]]:
+        # (action, image within the layer below), or at depth 0
+        # (action, inputs of the divergence)
+        if d == 0:
+            return [(a, project(leaf)) for a, t in diverge
+                    if (leaf := m.band(pairs, t)) != FALSE]
+        below = layers.layers[d - 1].node
+        return [(a, img) for a, t in joint
+                if (img := m.band(m.rename(m.and_exists(pairs, t, cur), ren), below)) != FALSE]
 
     cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
     ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    diverge = [(a, m.bdiff(enc.left.en_by_action.get(a, FALSE),
+                           enc.right.en_by_action.get(a, FALSE))) for a in enc.alphabet]
+    joint = [(a, m.band(enc.left.t_by_action.get(a, FALSE),
+                        enc.right.t_by_action.get(a, FALSE))) for a in enc.alphabet]
+    memo: dict[tuple[int, int], list[tuple[str, int]]] = {}
     init = initial_diff_states(enc, layers).node
     prev = FALSE
     for depth, layer in enumerate(layers.layers):
@@ -217,26 +238,14 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
         stack = [(group, depth, ())] if group != FALSE else []
         while stack:
             pairs, d, prefix = stack.pop()
+            children = memo.get((pairs, d))
+            if children is None:
+                children = memo[pairs, d] = expand(pairs, d)
             if d == 0:
-                for a in enc.alphabet:
-                    en1 = enc.left.en_by_action.get(a, FALSE)
-                    en2 = enc.right.en_by_action.get(a, FALSE)
-                    leaf = m.band(pairs, m.bdiff(en1, en2))
-                    if leaf != FALSE:
-                        emit(prefix + (a,), leaf)
-                continue
-            below = layers.layers[d - 1].node
-            children = []
-            for a in enc.alphabet:
-                t1 = enc.left.t_by_action.get(a, FALSE)
-                t2 = enc.right.t_by_action.get(a, FALSE)
-                joint = m.band(pairs, m.band(t1, t2))
-                if joint == FALSE:
-                    continue
-                img = m.band(m.rename(m.exists(joint, cur), ren), below)
-                if img != FALSE:
-                    children.append((img, d - 1, prefix + (a,)))
-            stack.extend(reversed(children))
+                for a, inputs in children:
+                    emit(prefix + (a,), inputs)
+            else:
+                stack.extend((img, d - 1, prefix + (a,)) for a, img in reversed(children))
 
     matched = m.exists(m.band(enc.right.init, enc.input_match),
                        enc.right.cur_state_levels() + enc.right.input_levels())
@@ -245,7 +254,7 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
         for a, en1 in sorted(enc.left.en_by_action.items()):
             leaf = m.band(unmatched, en1)
             if leaf != FALSE:
-                emit((a,), leaf)
+                emit((a,), project(leaf))
 
     return [_input_family(enc, actions, found[actions])
             for actions in sorted(found)]
@@ -321,7 +330,18 @@ def render_inputs(st: SymbolicTrace) -> str:
     return text
 
 
-def _replay(ad: ActivityDiagram, at: Configuration,
+def _steps(enc: ProductEncoding, ad: ActivityDiagram,
+           c: Configuration) -> list[ObservableStep]:
+    """observable_steps(ad, c), computed once per diagram and
+    configuration for the whole run."""
+    key = (id(ad), c)
+    hit = enc.steps.get(key)
+    if hit is None:
+        hit = enc.steps[key] = observable_steps(ad, c)
+    return hit
+
+
+def _replay(enc: ProductEncoding, ad: ActivityDiagram, at: Configuration,
             actions: tuple[str, ...]) -> list[Configuration] | None:
     """Leftmost path through ad realizing the action list, if any.
 
@@ -332,7 +352,7 @@ def _replay(ad: ActivityDiagram, at: Configuration,
     while len(path) <= len(actions):
         if len(untried) < len(path):
             a = actions[len(path) - 1]
-            untried.append(iter([s.successor for s in observable_steps(ad, path[-1])
+            untried.append(iter([s.successor for s in _steps(enc, ad, path[-1])
                                  if s.action == a]))
         nxt = next(untried[-1], None)
         if nxt is not None:
@@ -354,6 +374,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     set and must match every proper prefix but not the final action;
     under simulation semantics those two checks do not hold in general
     and are skipped.  Any violated check raises ReplayMismatchError.
+    Steps come from the encoding's cache; every trace is still replayed.
     """
     if exact is None:
         exact = trace_exact(enc.left.ad, enc.right.ad, enc)
@@ -367,7 +388,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     if len(start) != 1:
         raise ReplayMismatchError(
             f"{ad1.name}: {len(start)} initial states for {valuation}")
-    path = _replay(ad1, start[0], st.actions)
+    path = _replay(enc, ad1, start[0], st.actions)
     if path is None:
         raise ReplayMismatchError(
             f"{ad1.name} cannot replay {list(st.actions)} from {valuation}")
@@ -375,12 +396,12 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     states = set(initial_configs(ad2, pinned))
     for i, a in enumerate(st.actions[:-1]):
         states = {s.successor for c in states
-                  for s in observable_steps(ad2, c) if s.action == a}
+                  for s in _steps(enc, ad2, c) if s.action == a}
         if exact and not states:
             raise ReplayMismatchError(
                 f"{ad2.name} cannot match the prefix {list(st.actions[:i + 1])}")
     if exact and any(s.action == st.actions[-1]
-                     for c in states for s in observable_steps(ad2, c)):
+                     for c in states for s in _steps(enc, ad2, c)):
         raise ReplayMismatchError(
             f"{ad2.name} matches the whole of {list(st.actions)}")
 

@@ -99,6 +99,8 @@ class ProductEncoding:
     _left_order: tuple[str, ...] = ()
     input_bundles_left: dict[str, VarBundle] = field(default_factory=dict)
     input_bundles_right_only: list[VarBundle] = field(default_factory=list)
+    # observable steps per (id(diagram), configuration); see ad.diff._steps
+    steps: dict = field(default_factory=dict)
 
     def report_bundles(self) -> list[VarBundle]:
         out = [self.input_bundles_left[name] for name in self._left_order]

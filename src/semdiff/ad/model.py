@@ -9,6 +9,7 @@ observable steps are the raw post-action ones.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from ..record import record as dataclass
 
@@ -251,11 +252,20 @@ class ActivityDiagram:
                 return n
         return None
 
-    def out_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == node_id]
+    @cached_property
+    def _edges_at(self) -> dict[tuple[bool, str], tuple[Edge, ...]]:
+        """(outgoing?, node id) -> the node's edges in declaration order."""
+        at: dict[tuple[bool, str], list[Edge]] = {}
+        for e in self.edges:
+            at.setdefault((True, e.source), []).append(e)
+            at.setdefault((False, e.target), []).append(e)
+        return {k: tuple(v) for k, v in at.items()}
 
-    def in_edges(self, node_id: str) -> list[Edge]:
-        return [e for e in self.edges if e.target == node_id]
+    def out_edges(self, node_id: str) -> tuple[Edge, ...]:
+        return self._edges_at.get((True, node_id), ())
+
+    def in_edges(self, node_id: str) -> tuple[Edge, ...]:
+        return self._edges_at.get((False, node_id), ())
 
     def variables(self) -> tuple[VarDecl, ...]:
         return self.inputs + self.locals

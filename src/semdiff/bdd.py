@@ -5,6 +5,14 @@ row in the manager's node arrays. The table is hash-consed and children
 are never equal, so two functions are the same iff their root ids are
 the same. Variables are identified by their level in the fixed order;
 there is no dynamic reordering and no complement edges.
+
+Each operation keeps its own computed table (Brace, Rudell and Bryant,
+DAC 1990), so no key carries an op tag and no step dispatches on one.
+Negation is a memoised traversal that records each result both ways, as
+negation is an involution.  rename rebuilds through the unique table
+while every node stays above its rebuilt children, as under the engine's
+current/next-state maps (each current bit is directly followed by its
+next-state copy); other maps fall back to ite.
 """
 
 from __future__ import annotations
@@ -18,10 +26,6 @@ TRUE = 1
 
 # terminals sort below every real level
 _TERMINAL = 1 << 62
-
-_AND = "&"
-_OR = "|"
-_XOR = "^"
 
 
 class BddError(Exception):
@@ -40,13 +44,24 @@ class IndexOutOfRangeError(BddError):
     """A level outside the manager's allocation."""
 
 
+class _OrderBroken(Exception):
+    """A rename would put a node at or below one of its children."""
+
+
 class BddManager:
     def __init__(self) -> None:
         self._level: list[int] = [_TERMINAL, _TERMINAL]
         self._low: list[int] = [0, 1]
         self._high: list[int] = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        # computed tables, one per operation
+        self._and: dict[tuple[int, int], int] = {}
+        self._or: dict[tuple[int, int], int] = {}
+        self._xor: dict[tuple[int, int], int] = {}
+        self._not: dict[int, int] = {}
+        self._ex: dict[tuple[int, int], int] = {}
+        self._ae: dict[tuple[int, int, int], int] = {}
+        self._tables = (self._and, self._or, self._xor, self._not, self._ex, self._ae)
         self._names: list[str] = []
         self._qsets: dict[tuple[int, ...], int] = {}
 
@@ -117,52 +132,70 @@ class BddManager:
             return self._low[u], self._high[u]
         return u, u
 
-    def _apply(self, op: str, a: int, b: int) -> int:
-        if op == _AND:
-            if a == 0 or b == 0:
-                return 0
-            if a == 1:
-                return b
-            if b == 1 or a == b:
-                return a
-        elif op == _OR:
-            if a == 1 or b == 1:
-                return 1
-            if a == 0:
-                return b
-            if b == 0 or a == b:
-                return a
-        else:
-            if a == b:
-                return 0
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-        if a > b:
-            a, b = b, a
-        key = (op, a, b)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        lvl = min(self._level[a], self._level[b])
-        a0, a1 = self._cof(a, lvl)
-        b0, b1 = self._cof(b, lvl)
-        r = self._make(lvl, self._apply(op, a0, b0), self._apply(op, a1, b1))
-        self._cache[key] = r
-        return r
+    # band, bor and bxor: each has its own terminal cases and its own
+    # table under the ordered operand pair; a miss takes one Shannon step
+    # on the top level, reading the children straight from the arrays.
 
     def band(self, a: int, b: int) -> int:
-        return self._apply(_AND, a, b)
+        if a == 0 or b == 0:
+            return 0
+        if a == 1:
+            return b
+        if b == 1 or a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        hit = self._and.get((a, b))
+        if hit is None:
+            hit = self._and[a, b] = self._shannon(self.band, a, b)
+        return hit
 
     def bor(self, a: int, b: int) -> int:
-        return self._apply(_OR, a, b)
+        if a == 1 or b == 1:
+            return 1
+        if a == 0:
+            return b
+        if b == 0 or a == b:
+            return a
+        if a > b:
+            a, b = b, a
+        hit = self._or.get((a, b))
+        if hit is None:
+            hit = self._or[a, b] = self._shannon(self.bor, a, b)
+        return hit
 
     def bxor(self, a: int, b: int) -> int:
-        return self._apply(_XOR, a, b)
+        if a == b:
+            return 0
+        if a > b:
+            a, b = b, a
+        if a < 2:
+            return self.bnot(b) if a else b
+        hit = self._xor.get((a, b))
+        if hit is None:
+            hit = self._xor[a, b] = self._shannon(self.bxor, a, b)
+        return hit
+
+    def _shannon(self, op, a: int, b: int) -> int:
+        la, lb = self._level[a], self._level[b]
+        if la == lb:
+            return self._make(la, op(self._low[a], self._low[b]),
+                              op(self._high[a], self._high[b]))
+        if la < lb:
+            return self._make(la, op(self._low[a], b), op(self._high[a], b))
+        return self._make(lb, op(a, self._low[b]), op(a, self._high[b]))
 
     def bnot(self, a: int) -> int:
-        return self._apply(_XOR, a, TRUE)
+        if a < 2:
+            return 1 - a
+        hit = self._not.get(a)
+        if hit is not None:
+            return hit
+        r = self._make(self._level[a], self.bnot(self._low[a]), self.bnot(self._high[a]))
+        # negation is an involution, so one traversal answers both ways
+        self._not[a] = r
+        self._not[r] = a
+        return r
 
     def bdiff(self, a: int, b: int) -> int:
         return self.band(a, self.bnot(b))
@@ -193,8 +226,7 @@ class BddManager:
         i = bisect_left(qs, lvl)
         if i == len(qs):
             return u
-        key = ("E", u, qid)
-        hit = self._cache.get(key)
+        hit = self._ex.get((u, qid))
         if hit is not None:
             return hit
         if qs[i] == lvl:
@@ -203,7 +235,7 @@ class BddManager:
         else:
             r = self._make(lvl, self._exists(self._low[u], qid, qs),
                            self._exists(self._high[u], qid, qs))
-        self._cache[key] = r
+        self._ex[u, qid] = r
         return r
 
     def forall(self, u: int, levels) -> int:
@@ -221,32 +253,55 @@ class BddManager:
             return 1
         if a > b:
             a, b = b, a
-        lvl = min(self._level[a], self._level[b])
+        la, lb = self._level[a], self._level[b]
+        lvl = la if la < lb else lb
         i = bisect_left(qs, lvl)
         if i == len(qs):
             return self.band(a, b)
-        key = ("AE", a, b, qid)
-        hit = self._cache.get(key)
+        key = (a, b, qid)
+        hit = self._ae.get(key)
         if hit is not None:
             return hit
-        a0, a1 = self._cof(a, lvl)
-        b0, b1 = self._cof(b, lvl)
+        a0, a1 = (self._low[a], self._high[a]) if la == lvl else (a, a)
+        b0, b1 = (self._low[b], self._high[b]) if lb == lvl else (b, b)
         if qs[i] == lvl:
             r0 = self._and_exists(a0, b0, qid, qs)
             r = TRUE if r0 == TRUE else self.bor(r0, self._and_exists(a1, b1, qid, qs))
         else:
             r = self._make(lvl, self._and_exists(a0, b0, qid, qs),
                            self._and_exists(a1, b1, qid, qs))
-        self._cache[key] = r
+        self._ae[key] = r
         return r
 
     # -- substitution ------------------------------------------------
 
     def rename(self, u: int, mapping: dict[int, int]) -> int:
+        """u with every level `old` read as level mapping[old]: one pass
+        through _make while each node stays above its rebuilt children,
+        else (say, a swap of adjacent banks) a rebuild with ite."""
         for old, new in mapping.items():
             self._check_level(old)
             self._check_level(new)
+        level, low, high = self._level, self._low, self._high
         memo: dict[int, int] = {}
+
+        def ordered(x: int) -> int:
+            if x < 2:
+                return x
+            hit = memo.get(x)
+            if hit is not None:
+                return hit
+            lvl = mapping.get(level[x], level[x])
+            r0, r1 = ordered(low[x]), ordered(high[x])
+            if lvl >= level[r0] or lvl >= level[r1]:
+                raise _OrderBroken
+            r = memo[x] = self._make(lvl, r0, r1)
+            return r
+
+        try:
+            return ordered(u)
+        except _OrderBroken:
+            memo.clear()
 
         def rec(x: int) -> int:
             if x < 2:
@@ -254,11 +309,8 @@ class BddManager:
             hit = memo.get(x)
             if hit is not None:
                 return hit
-            lvl = mapping.get(self._level[x], self._level[x])
-            # ite, not _make: swapping adjacent banks can put a node's
-            # new level below its children's.
-            r = self.ite(self.var(lvl), rec(self._high[x]), rec(self._low[x]))
-            memo[x] = r
+            lvl = mapping.get(level[x], level[x])
+            r = memo[x] = self.ite(self.var(lvl), rec(high[x]), rec(low[x]))
             return r
 
         return rec(u)
@@ -401,11 +453,12 @@ class BddManager:
             "nodes": n,
             "internal": n - 2,
             "vars": len(self._names),
-            "cache_entries": len(self._cache),
+            "cache_entries": sum(len(t) for t in self._tables),
         }
 
     def clear_cache(self) -> None:
-        self._cache.clear()
+        for t in self._tables:
+            t.clear()
 
     # -- integer bundles ---------------------------------------------
 

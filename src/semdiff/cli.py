@@ -4,7 +4,10 @@ Three subcommands: `cddiff` and `addiff` compare two models and print a
 summary report (or a raw witness enumeration), `check` tests one object
 model against a class diagram.  Exit status: 0 differences found /
 instance ok, 1 no differences / not an instance, 2 usage or parse
-failure, 3 oracle mismatch under --oracle.
+failure, 3 oracle mismatch under --oracle, 4 a limit was hit (the
+encoder's bit budget, or the --oracle search's state budget), 5 an
+internal error (an engine result failed its explicit replay).  Statuses
+2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -14,12 +17,14 @@ import json
 import sys
 from pathlib import Path
 
-from .ad.diff import addiff, render_inputs
+from .ad.diff import ReplayMismatchError, addiff, render_inputs
+from .ad.encode import BitBudgetExceededError
 from .ad.model import ActivityDiagram, validate_ad
 from .cd.diff import cddiff_summary, enumerate_witnesses
 from .cd.model import (ClassDiagram, ObjectModel, check_instance, is_instance,
                        validate_cd, validate_om)
-from .oracle import ScopeTooLargeError, ad_diff_bfs, cd_enumerate_all
+from .oracle import (ScopeTooLargeError, StateBudgetExceededError, ad_diff_bfs,
+                     cd_enumerate_all)
 from .parsing import ParseError, parse_model, print_od
 from .summary import PartitionKey, SummaryEntry, SummaryReport
 
@@ -27,6 +32,8 @@ EXIT_DIFFS = 0
 EXIT_NO_DIFFS = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
+EXIT_LIMIT = 4
+EXIT_INTERNAL = 5
 
 _KIND_NAMES = {"cd": "class diagram", "od": "object model", "ad": "activity diagram"}
 
@@ -343,6 +350,12 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (BitBudgetExceededError, StateBudgetExceededError) as exc:
+        print(f"error: limit reached: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except ReplayMismatchError as exc:
+        print(f"error: internal error, replay mismatch: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

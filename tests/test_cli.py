@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import FIXTURES
+from semdiff.ad.diff import ReplayMismatchError
 from semdiff.cli import load_json_lines, main
+from semdiff.oracle import StateBudgetExceededError
 
 CD1 = str(FIXTURES / "cd_v1.cd")
 CD2 = str(FIXTURES / "cd_v2.cd")
@@ -240,3 +245,50 @@ def test_usage_errors(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+# -- limits and internal errors ---------------------------------------------------
+
+
+HUGE_INPUT = """activitydiagram huge {
+  input x : 0..1000000000000000000000;
+  initial i; action a; final f;
+  edge i -> a; edge a -> f;
+}"""
+
+
+def test_bit_budget_exits_4_without_traceback(tmp_path):
+    huge = tmp_path / "huge.ad"
+    huge.write_text(HUGE_INPUT)
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "semdiff.cli", "addiff", str(huge), AD1],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: limit reached: huge needs 72 state bits, budget is 64"]
+
+
+def test_oracle_state_budget_exits_4(capsys, monkeypatch):
+    def exhausted(ad1, ad2):
+        raise StateBudgetExceededError("state budget exceeded")
+
+    monkeypatch.setattr("semdiff.cli.ad_diff_bfs", exhausted)
+    code, out, err = run(capsys, "addiff", AD2, AD1, "--oracle")
+    assert code == 4
+    assert out == ""
+    assert err == "error: limit reached: state budget exceeded\n"
+
+
+def test_replay_mismatch_exits_5(capsys, monkeypatch):
+    def contradict(enc, st, *, exact=None):
+        raise ReplayMismatchError("ad_v1 cannot replay ['register']")
+
+    monkeypatch.setattr("semdiff.ad.diff.concretize", contradict)
+    code, out, err = run(capsys, "addiff", AD2, AD1)
+    assert code == 5
+    assert out == ""
+    assert err == ("error: internal error, replay mismatch: "
+                   "ad_v1 cannot replay ['register']\n")
