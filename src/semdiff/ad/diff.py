@@ -19,6 +19,7 @@ labelled accordingly.
 from __future__ import annotations
 
 from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
+from ..errors import InternalError
 from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryEntry, SummaryReport
 from .encode import DEFAULT_BIT_BUDGET, AdBank, ProductEncoding, encode_product
@@ -26,9 +27,11 @@ from .model import (ActivityDiagram, Configuration, ObservableStep,
                     initial_configs, observable_steps)
 
 
-class ReplayMismatchError(RuntimeError):
+class ReplayMismatchError(InternalError, RuntimeError):
     """A symbolic result failed its explicit replay.  Never a property of
     the input models; this is the engine contradicting itself."""
+
+    what = "replay mismatch"
 
 
 @dataclass(frozen=True)
@@ -341,6 +344,17 @@ def _steps(enc: ProductEncoding, ad: ActivityDiagram,
     return hit
 
 
+def _starts(enc: ProductEncoding, ad: ActivityDiagram,
+            valuation: tuple[tuple[str, int], ...]) -> list[Configuration]:
+    """initial_configs(ad) pinned to valuation, computed once per
+    diagram and valuation for the whole run."""
+    key = (id(ad), valuation)
+    hit = enc.starts.get(key)
+    if hit is None:
+        hit = enc.starts[key] = initial_configs(ad, dict(valuation))
+    return hit
+
+
 def _replay(enc: ProductEncoding, ad: ActivityDiagram, at: Configuration,
             actions: tuple[str, ...]) -> list[Configuration] | None:
     """Leftmost path through ad realizing the action list, if any.
@@ -374,7 +388,8 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     set and must match every proper prefix but not the final action;
     under simulation semantics those two checks do not hold in general
     and are skipped.  Any violated check raises ReplayMismatchError.
-    Steps come from the encoding's cache; every trace is still replayed.
+    Start configurations and steps come from the encoding's caches;
+    every trace is still replayed.
     """
     if exact is None:
         exact = trace_exact(enc.left.ad, enc.right.ad, enc)
@@ -383,8 +398,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     ad1, ad2 = enc.left.ad, enc.right.ad
     valuation = tuple(sorted((v.name, chosen[v.name]) for v in ad1.inputs))
 
-    pinned = dict(valuation)
-    start = initial_configs(ad1, pinned)
+    start = _starts(enc, ad1, valuation)
     if len(start) != 1:
         raise ReplayMismatchError(
             f"{ad1.name}: {len(start)} initial states for {valuation}")
@@ -393,7 +407,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
         raise ReplayMismatchError(
             f"{ad1.name} cannot replay {list(st.actions)} from {valuation}")
 
-    states = set(initial_configs(ad2, pinned))
+    states = set(_starts(enc, ad2, valuation))
     for i, a in enumerate(st.actions[:-1]):
         states = {s.successor for c in states
                   for s in _steps(enc, ad2, c) if s.action == a}

@@ -22,6 +22,7 @@ in-range valuations the concrete semantics accepts.
 from __future__ import annotations
 
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
+from ..errors import LimitError
 from ..record import field, record as dataclass
 from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
                     ActivityDiagram, BoolOp, IntLit, Node, Not, Var, expr_vars)
@@ -29,7 +30,7 @@ from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
 DEFAULT_BIT_BUDGET = 64
 
 
-class BitBudgetExceededError(Exception):
+class BitBudgetExceededError(LimitError):
     """One diagram's encoded state does not fit the bit budget."""
 
 
@@ -101,6 +102,8 @@ class ProductEncoding:
     input_bundles_right_only: list[VarBundle] = field(default_factory=list)
     # observable steps per (id(diagram), configuration); see ad.diff._steps
     steps: dict = field(default_factory=dict)
+    # start configurations per (id(diagram), pinned valuation); see ad.diff._starts
+    starts: dict = field(default_factory=dict)
 
     def report_bundles(self) -> list[VarBundle]:
         out = [self.input_bundles_left[name] for name in self._left_order]

@@ -369,28 +369,31 @@ def validate_ad(ad: ActivityDiagram) -> ActivityDiagram:
                     raise UndeclaredVariableError(f"{n.id}: effect uses undeclared {v}")
 
     # A cycle visiting silent nodes only would let the token game spin
-    # without ever producing an action.
+    # without ever producing an action.  Depth first with an explicit
+    # stack: todo[i] holds the out-edges of path[i] not yet followed.
     silent = {n.id for n in ad.nodes if n.kind in SILENT_KINDS}
     color: dict[str, int] = {}
-
-    def dfs(nid: str, stack: list[str]) -> None:
-        color[nid] = 1
-        stack.append(nid)
-        for e in ad.out_edges(nid):
+    for root in sorted(silent):
+        if color.get(root, 0):
+            continue
+        color[root] = 1
+        path, todo = [root], [iter(ad.out_edges(root))]
+        while todo:
+            e = next(todo[-1], None)
+            if e is None:
+                todo.pop()
+                color[path.pop()] = 2
+                continue
             if e.target not in silent:
                 continue
             c = color.get(e.target, 0)
             if c == 1:
                 raise SilentCycleError(
-                    "cycle through silent nodes: " + " -> ".join(stack + [e.target]))
+                    "cycle through silent nodes: " + " -> ".join(path + [e.target]))
             if c == 0:
-                dfs(e.target, stack)
-        stack.pop()
-        color[nid] = 2
-
-    for nid in sorted(silent):
-        if color.get(nid, 0) == 0:
-            dfs(nid, [])
+                color[e.target] = 1
+                path.append(e.target)
+                todo.append(iter(ad.out_edges(e.target)))
     return ad
 
 

@@ -282,59 +282,60 @@ class BddManager:
         for old, new in mapping.items():
             self._check_level(old)
             self._check_level(new)
-        level, low, high = self._level, self._low, self._high
-        memo: dict[int, int] = {}
-
-        def ordered(x: int) -> int:
-            if x < 2:
-                return x
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
-            lvl = mapping.get(level[x], level[x])
-            r0, r1 = ordered(low[x]), ordered(high[x])
-            if lvl >= level[r0] or lvl >= level[r1]:
-                raise _OrderBroken
-            r = memo[x] = self._make(lvl, r0, r1)
-            return r
-
         try:
-            return ordered(u)
+            return self._rename_ordered(u, mapping, {})
         except _OrderBroken:
-            memo.clear()
+            return self._rename_ite(u, mapping, {})
 
-        def rec(x: int) -> int:
-            if x < 2:
-                return x
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
-            lvl = mapping.get(level[x], level[x])
-            r = memo[x] = self.ite(self.var(lvl), rec(high[x]), rec(low[x]))
-            return r
+    # The recursive helpers are methods with the memo passed in, not
+    # closures: a nested function that calls itself is a reference cycle
+    # that would keep the manager alive until a full collection.
 
-        return rec(u)
+    def _rename_ordered(self, x: int, mapping: dict[int, int], memo: dict[int, int]) -> int:
+        if x < 2:
+            return x
+        hit = memo.get(x)
+        if hit is not None:
+            return hit
+        level = self._level
+        lvl = mapping.get(level[x], level[x])
+        r0 = self._rename_ordered(self._low[x], mapping, memo)
+        r1 = self._rename_ordered(self._high[x], mapping, memo)
+        if lvl >= level[r0] or lvl >= level[r1]:
+            raise _OrderBroken
+        r = memo[x] = self._make(lvl, r0, r1)
+        return r
+
+    def _rename_ite(self, x: int, mapping: dict[int, int], memo: dict[int, int]) -> int:
+        if x < 2:
+            return x
+        hit = memo.get(x)
+        if hit is not None:
+            return hit
+        lvl = mapping.get(self._level[x], self._level[x])
+        r = memo[x] = self.ite(self.var(lvl), self._rename_ite(self._high[x], mapping, memo),
+                               self._rename_ite(self._low[x], mapping, memo))
+        return r
 
     def restrict(self, u: int, consts: dict[int, bool]) -> int:
         for lvl in consts:
             self._check_level(lvl)
-        memo: dict[int, int] = {}
+        return self._restrict(u, consts, {})
 
-        def rec(x: int) -> int:
-            if x < 2:
-                return x
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
-            lvl = self._level[x]
-            if lvl in consts:
-                r = rec(self._high[x] if consts[lvl] else self._low[x])
-            else:
-                r = self._make(lvl, rec(self._low[x]), rec(self._high[x]))
-            memo[x] = r
-            return r
-
-        return rec(u)
+    def _restrict(self, x: int, consts: dict[int, bool], memo: dict[int, int]) -> int:
+        if x < 2:
+            return x
+        hit = memo.get(x)
+        if hit is not None:
+            return hit
+        lvl = self._level[x]
+        if lvl in consts:
+            r = self._restrict(self._high[x] if consts[lvl] else self._low[x], consts, memo)
+        else:
+            r = self._make(lvl, self._restrict(self._low[x], consts, memo),
+                           self._restrict(self._high[x], consts, memo))
+        memo[x] = r
+        return r
 
     # -- inspection --------------------------------------------------
 

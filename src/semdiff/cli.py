@@ -8,23 +8,32 @@ failure, 3 oracle mismatch under --oracle, 4 a limit was hit (the
 encoder's bit budget, or the --oracle search's state budget), 5 an
 internal error (an engine result failed its explicit replay).  Statuses
 2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
+
+`main()` returns the exit status, so tests and tools can call it in
+process.  The process entry point `run()` (the `semdiff` script and
+`python -m semdiff.cli`) flushes stdout and stderr after `main()` and
+ends with `os._exit`, which skips interpreter teardown (the final
+garbage collections and module clearing) and runs no `atexit` handlers.
+Nothing is lost: the CLI writes only to stdout and stderr, keeps no
+temporary files and registers no `atexit` handler.  If a flush fails
+(say, the reader closed the pipe), `run()` exits through `sys.exit`.
+`json` is imported only where JSON is written or read.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
-from .ad.diff import ReplayMismatchError, addiff, render_inputs
-from .ad.encode import BitBudgetExceededError
+from .ad.diff import addiff, render_inputs
 from .ad.model import ActivityDiagram, validate_ad
 from .cd.diff import cddiff_summary, enumerate_witnesses
 from .cd.model import (ClassDiagram, ObjectModel, check_instance, is_instance,
                        validate_cd, validate_om)
-from .oracle import (ScopeTooLargeError, StateBudgetExceededError, ad_diff_bfs,
-                     cd_enumerate_all)
+from .errors import InternalError, LimitError
+from .oracle import ScopeTooLargeError, ad_diff_bfs, cd_enumerate_all
 from .parsing import ParseError, parse_model, print_od
 from .summary import PartitionKey, SummaryEntry, SummaryReport
 
@@ -99,6 +108,7 @@ def render_text(report: SummaryReport, heading: str) -> str:
 
 def render_json_lines(report: SummaryReport) -> str:
     """One entry object per line: key, representative, annotation."""
+    import json
     out = []
     for e in report.entries:
         out.append(json.dumps(
@@ -112,6 +122,7 @@ def render_json_lines(report: SummaryReport) -> str:
 def load_json_lines(text: str,
                     direction: tuple[str, str] = ("", "")) -> SummaryReport:
     """Inverse of render_json_lines up to representative text."""
+    import json
     entries = []
     kinds: set[str] = set()
     for line in text.splitlines():
@@ -153,6 +164,7 @@ def cmd_cddiff(args: argparse.Namespace) -> int:
             print(f"{heading}: no differences")
             return EXIT_NO_DIFFS
         if args.format == "json-lines":
+            import json
             for om in witnesses:
                 print(json.dumps({"witness": print_od(om).rstrip("\n")},
                                  ensure_ascii=False, sort_keys=True))
@@ -223,6 +235,7 @@ def cmd_addiff(args: argparse.Namespace) -> int:
                   f"/{len(res.action_sets.entries)}")
     elif args.summarize == "none":
         if args.format == "json-lines":
+            import json
             for st in res.traces:
                 print(json.dumps({"actions": list(st.actions),
                                   "inputs": render_inputs(st)},
@@ -350,13 +363,25 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BitBudgetExceededError, StateBudgetExceededError) as exc:
+    except LimitError as exc:
         print(f"error: limit reached: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except ReplayMismatchError as exc:
-        print(f"error: internal error, replay mismatch: {exc}", file=sys.stderr)
+    except InternalError as exc:
+        print(f"error: internal error, {exc.what}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Process entry point: main(), a flush, then os._exit(status)."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # no stream (a descriptor closed at start), or a closed pipe
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,6 +13,7 @@ from itertools import product
 from .ad.model import (ActivityDiagram, Configuration, initial_configs,
                        observable_steps)
 from .cd.model import ClassDiagram, Link, ObjectModel, classes_of, is_instance
+from .errors import LimitError
 from .record import record as dataclass
 
 
@@ -20,7 +21,7 @@ class ScopeTooLargeError(ValueError):
     """cd_enumerate_all refuses scopes past 4 objects."""
 
 
-class StateBudgetExceededError(RuntimeError):
+class StateBudgetExceededError(LimitError, RuntimeError):
     """ad_diff_bfs walked past its node budget."""
 
 

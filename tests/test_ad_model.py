@@ -87,6 +87,25 @@ def test_silent_cycles_rejected():
         }""")
 
 
+def test_silent_cycle_search_needs_no_recursion():
+    # 1500 chained decisions would pass the interpreter's recursion limit
+    n = 1500
+    nodes = ["input x : 0..9;", "initial i; action go; action last; final f;"]
+    edges = ["edge i -> go;", "edge go -> d0;", "edge last -> f;"]
+    for k in range(n):
+        nxt = f"d{k + 1}" if k + 1 < n else "last"
+        nodes.append(f"decision d{k}; action a{k};")
+        edges += [f"edge d{k} -> {nxt} [x < 5];", f"edge d{k} -> a{k} [x >= 5];",
+                  f"edge a{k} -> f;"]
+    _ad("activitydiagram chain {\n" + "\n".join(nodes + edges) + "\n}")
+    with pytest.raises(SilentCycleError, match=r"silent nodes: d -> m -> d$"):
+        _ad("""activitydiagram t {
+          initial i; merge m; decision d; final f;
+          edge i -> m; edge m -> d;
+          edge d -> m [1 > 0]; edge d -> f [0 > 1];
+        }""")
+
+
 # ------------------------------------------------------------- configurations
 
 def test_initial_configs_enumerate_input_space(ad_v1):

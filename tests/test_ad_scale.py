@@ -1,15 +1,18 @@
 """addiff at a size where the output dominates: every interleaving of a
-wide fork, and the replay's step cache."""
+wide fork, the replay's caches, and how long a result's memory lives."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 from semdiff.ad import diff, validate_ad
 from semdiff.ad.diff import addiff
 from semdiff.parsing import parse_ad
 
+from conftest import fixture_text
 from test_golden import fork_text
 
 
@@ -48,3 +51,38 @@ def test_replay_computes_each_step_set_once(monkeypatch):
     for e in res.action_lists.entries:
         rep = e.representative
         assert len(rep.configs) == len(rep.actions) + 1
+
+
+def test_start_configurations_are_built_once_per_diagram_and_valuation(monkeypatch):
+    left, right = fork_pair(4)
+    calls: Counter = Counter()
+    real = diff.initial_configs
+
+    def counted(ad, pinned=None):
+        calls[ad.name, tuple(sorted((pinned or {}).items()))] += 1
+        return real(ad, pinned)
+
+    monkeypatch.setattr(diff, "initial_configs", counted)
+    res = addiff(left, right)
+    assert len(res.traces) == 24
+    assert calls and max(calls.values()) == 1
+    assert {name for name, _ in calls} == {"wide_v1", "wide_v2"}
+
+
+def test_a_dropped_result_is_freed_by_reference_counting():
+    # no reference cycles on the addiff path: the manager and its tables
+    # go as soon as the result does, with the cycle collector off
+    texts = [(fixture_text("ad_v2.ad"), fixture_text("ad_v1.ad")),
+             (fork_text("wide_v1", 4, "ship"), fork_text("wide_v2", 4, "archive", moves=3))]
+    gc.collect()
+    gc.disable()
+    try:
+        for left, right in texts:
+            res = addiff(validate_ad(parse_ad(left)), validate_ad(parse_ad(right)))
+            assert res.traces
+            manager = weakref.ref(res.traces[0].init_inputs.manager)
+            del res
+            assert manager() is None
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -292,3 +292,68 @@ def test_replay_mismatch_exits_5(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: internal error, replay mismatch: "
                    "ad_v1 cannot replay ['register']\n")
+
+
+# -- the process path: run() flushes, then exits without teardown --------------
+
+
+def _child_env() -> dict:
+    # stdout stays block-buffered, so an exit that skipped the flush would lose output
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _process_cases(tmp_path):
+    from test_golden import fork_text
+
+    (tmp_path / "w5a.ad").write_text(fork_text("wide_v1", 5, "ship"))
+    (tmp_path / "w5b.ad").write_text(fork_text("wide_v2", 5, "archive", moves=3))
+    (tmp_path / "bad.cd").write_text("classdiagram x {\n  клас A;\n}")
+    (tmp_path / "huge.ad").write_text(HUGE_INPUT)
+    return {
+        "fork5": ["addiff", str(tmp_path / "w5a.ad"), str(tmp_path / "w5b.ad")],
+        "no_diffs": ["addiff", AD1, AD3],
+        "parse_error": ["cddiff", str(tmp_path / "bad.cd"), CD1],
+        "bit_budget": ["addiff", str(tmp_path / "huge.ad"), AD1],
+    }
+
+
+@pytest.mark.parametrize("case, status", [
+    ("fork5", 0), ("no_diffs", 1), ("parse_error", 2), ("bit_budget", 4)])
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+def test_process_output_matches_main(capsys, tmp_path, case, status, sink):
+    argv = _process_cases(tmp_path)[case]
+    code, out, err = run(capsys, *argv)
+    assert code == status
+    cmd = [sys.executable, "-m", "semdiff.cli", *argv]
+    if sink == "pipe":
+        proc = subprocess.run(cmd, capture_output=True, env=_child_env(), timeout=60)
+        stdout = proc.stdout
+    else:
+        with open(tmp_path / "out.txt", "wb") as fh:
+            proc = subprocess.run(cmd, stdout=fh, stderr=subprocess.PIPE,
+                                  env=_child_env(), timeout=60)
+        stdout = (tmp_path / "out.txt").read_bytes()
+    assert proc.returncode == status
+    assert stdout.decode("utf-8") == out
+    assert proc.stderr.decode("utf-8") == err
+    if case == "fork5":
+        # larger than the 8 KiB stdio buffer, so the exit must flush it
+        assert len(stdout) > 8192 and err == ""
+    if case == "no_diffs":
+        assert err == ""
+
+
+def test_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    meta = tomllib.loads((FIXTURES.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert meta["project"]["scripts"]["semdiff"] == "semdiff.cli:run"
+
+
+def test_importing_the_cli_does_not_load_json():
+    probe = "import sys, semdiff.cli; print('json' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
