@@ -17,17 +17,29 @@ canonical minimal instance, and if that already conforms to cd2 it retries
 with one violation pinned (a link cd2 forbids, or a partner count outside
 cd2's range); if no pin is feasible, no instance over the universe can
 violate cd2, because cd2 checks links and per-object counts independently.
+
+The same independence proves a class set free of witnesses without
+searching it (`_covered`): when cd2 declares each class of the set
+concrete, accepts every link cd1 allows between them, and admits every
+partner count cd1 allows each object (zero where cd1 cannot link it), every
+cd1-instance over the set is a cd2-instance, at any size.  The test runs
+once on all of cd1's concrete classes, which covers every subset, and
+otherwise on a set after one of its universes came back without a witness.
+A "no differences" answer reached through the whole-diagram cover holds at
+every size, not only up to the scope; stdout does not say which way it was
+reached.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryReport, summarize
-from .model import (UNBOUNDED, Association, ClassDiagram, Link, ObjectModel,
-                    check_instance, classes_of, conforms, is_instance)
+from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
+                    ObjectModel, check_instance, classes_of, conforms,
+                    is_instance)
 
 
 @dataclass(frozen=True)
@@ -128,15 +140,75 @@ def _universe_objects(class_set: ClassSet, counts: tuple[int, ...]):
     return tuple(objects)
 
 
+def _ends(asc: Association) -> tuple[tuple[str, MultRange, str], ...]:
+    """(own class, the range of its objects' partner counts, partner class)
+    for position A, then position B."""
+    return ((asc.class_a, asc.mult_b, asc.class_b),
+            (asc.class_b, asc.mult_a, asc.class_a))
+
+
 def _may_instantiate(cd1: ClassDiagram, class_set: ClassSet) -> bool:
     """False when some class of the set needs a partner (an end with lo >= 1)
     that no class of the set can be; then no cd1-instance has this set."""
     for asc in cd1.associations:
-        for own, lo, other in ((asc.class_a, asc.mult_b.lo, asc.class_b),
-                               (asc.class_b, asc.mult_a.lo, asc.class_a)):
-            if lo >= 1 and any(conforms(cd1, c, own) for c in class_set) and \
+        for own, rng, other in _ends(asc):
+            if rng.lo >= 1 and any(conforms(cd1, c, own) for c in class_set) and \
                not any(conforms(cd1, c, other) for c in class_set):
                 return False
+    return True
+
+
+def _within(inner: MultRange, outer: MultRange) -> bool:
+    return inner.lo >= outer.lo and (outer.hi == UNBOUNDED or
+                                     inner.hi != UNBOUNDED and inner.hi <= outer.hi)
+
+
+def _covered(cd1: ClassDiagram, cd2: ClassDiagram, class_set: Sequence[str]) -> bool:
+    """True only when every cd1-instance whose classes all lie in the set,
+    at any size, is also a cd2-instance; no universe of the set, or of a
+    subset, then holds a witness.
+
+    cd2 checks object classes, per-object counts and link endpoints
+    independently, so it suffices that cd2 declares each class concrete,
+    bounds every object it counts by a range containing each count cd1
+    allows (cd1's range where cd1 can link the object there, else zero),
+    and accepts every link cd1 allows between the set's classes.  An
+    object that cd1 requires to have a partner the set lacks is in no
+    cd1-instance over the set, so it needs no such range.  The counts are
+    checked before the links: a changed multiplicity fails there within a
+    few `conforms` calls, where the link check scans every association.
+    """
+    for c in class_set:
+        decl = cd2.decl(c)
+        if decl is None or decl.abstract:
+            return False
+    for asc2 in cd2.associations:
+        asc = cd1.association(asc2.name)
+        ends1 = _ends(asc) if asc is not None else (None, None)
+        for (own2, range2, _), end1 in zip(_ends(asc2), ends1):
+            linkable = end1 is not None and \
+                any(conforms(cd1, p, end1[2]) for p in class_set)
+            for c in class_set:
+                if not conforms(cd2, c, own2):
+                    continue  # cd2 does not count c's objects here
+                own1 = end1 is not None and conforms(cd1, c, end1[0])
+                if own1 and linkable:
+                    if not _within(end1[1], range2):
+                        return False
+                # else c's objects have no link here: cd2 must admit 0, unless
+                # cd1 needs a partner here and so admits no such object
+                elif range2.lo > 0 and not (own1 and end1[1].lo > 0):
+                    return False
+    for asc in cd1.associations:
+        ends_a = [c for c in class_set if conforms(cd1, c, asc.class_a)]
+        ends_b = [c for c in class_set if conforms(cd1, c, asc.class_b)]
+        if not (ends_a and ends_b):
+            continue  # no link of asc between classes of the set
+        asc2 = cd2.association(asc.name)
+        if asc2 is None or \
+           not all(conforms(cd2, c, asc2.class_a) for c in ends_a) or \
+           not all(conforms(cd2, c, asc2.class_b) for c in ends_b):
+            return False
     return True
 
 
@@ -369,16 +441,24 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
 
 def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
                      scope: Scope) -> Iterator[ObjectModel]:
-    """The first witness of each class set, in search order."""
-    found: set[ClassSet] = set()
+    """The first witness of each class set, in search order.
+
+    A set is tested for a cover only once one of its universes has no
+    witness, so sets that are witnessed at once never pay for the test.
+    """
+    if _covered(cd1, cd2, cd1.concrete_classes()):
+        return
+    skip: dict[ClassSet, bool] = {}  # True: witnessed or covered
     for cs, objects in _universes(cd1, scope):
-        if cs in found:
+        if skip.get(cs):
             continue
         om = _universe_witness(cd1, cd2, objects, "witness")
         if om is not None:
             assert not is_instance(om, cd2)
-            found.add(cs)
+            skip[cs] = True
             yield om
+        elif cs not in skip:
+            skip[cs] = _covered(cd1, cd2, cs)
 
 
 def find_witness(cd1: ClassDiagram, cd2: ClassDiagram,
@@ -396,11 +476,18 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int
 
     Universes the per-universe decision clears are skipped wholesale, so the
     (possibly huge) instance streams only run where a witness is known to
-    exist.
+    exist; covered class sets are skipped as in `_first_witnesses`.
     """
+    if _covered(cd1, cd2, cd1.concrete_classes()):
+        return
+    covered: dict[ClassSet, bool] = {}
     emitted = 0
-    for _, objects in _universes(cd1, _as_scope(scope)):
+    for cs, objects in _universes(cd1, _as_scope(scope)):
+        if covered.get(cs):
+            continue
         if _universe_witness(cd1, cd2, objects, "probe") is None:
+            if cs not in covered:
+                covered[cs] = _covered(cd1, cd2, cs)
             continue
         for om in _universe_instances(cd1, objects, "witness"):
             if not is_instance(om, cd2):

@@ -8,6 +8,8 @@ failure, 3 oracle mismatch under --oracle, 4 a limit was hit (the
 encoder's bit budget, or the --oracle search's state budget), 5 an
 internal error (an engine result failed its explicit replay).  Statuses
 2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
+A process whose reader closes stdout before the output is complete (say,
+`| head -c 10`) also ends in status 2.
 
 `main()` returns the exit status, so tests and tools can call it in
 process.  The process entry point `run()` (the `semdiff` script and
@@ -15,8 +17,10 @@ process.  The process entry point `run()` (the `semdiff` script and
 ends with `os._exit`, which skips interpreter teardown (the final
 garbage collections and module clearing) and runs no `atexit` handlers.
 Nothing is lost: the CLI writes only to stdout and stderr, keeps no
-temporary files and registers no `atexit` handler.  If a flush fails
-(say, the reader closed the pipe), `run()` exits through `sys.exit`.
+temporary files and registers no `atexit` handler.  A closed pipe,
+whether a `print` in `main()` or the final flush meets it, points fd 1 at
+/dev/null and exits 2; if a flush fails otherwise (say, no stream), `run()`
+exits through `sys.exit`.
 `json` is imported only where JSON is written or read.
 """
 
@@ -371,14 +375,33 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def _output_closed() -> int:
+    """The reader closed the pipe: point fd 1 at /dev/null, so that no later
+    flush raises, and say so on stderr while it is still open."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    try:
+        print("error: output closed before it was complete", file=sys.stderr,
+              flush=True)
+    except OSError:
+        pass  # stderr is closed too
+    return EXIT_USAGE
+
+
 def run() -> None:
     """Process entry point: main(), a flush, then os._exit(status)."""
-    status = main()
+    try:
+        status = main()
+    except BrokenPipeError:
+        status = _output_closed()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        status = _output_closed()
     except (AttributeError, OSError, ValueError):
-        # no stream (a descriptor closed at start), or a closed pipe
+        # no stream (a descriptor closed at start), or another failed write
         sys.exit(status)
     os._exit(status)
 

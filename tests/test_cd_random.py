@@ -19,8 +19,8 @@ import pytest
 
 from semdiff.cd import (Association, ClassDecl, ClassDiagram, MultRange,
                         cddiff_summary, check_instance, classes_of, conforms,
-                        is_instance, validate_cd)
-from semdiff.cd.diff import _candidate_class_sets, _may_instantiate
+                        enumerate_witnesses, is_instance, validate_cd)
+from semdiff.cd.diff import _candidate_class_sets, _covered, _may_instantiate
 from semdiff.cd.model import UNBOUNDED
 from semdiff.oracle import cd_enumerate_all, enumerate_object_models
 
@@ -184,3 +184,77 @@ def test_conforms_matches_a_parent_walk(seed):
             for sup in queries:
                 assert conforms(cd, sub, sup) == _walk_conforms(cd, sub, sup), \
                     (cd.classes, sub, sup)
+
+
+# -- the cover: class sets proven free of witnesses without a search ----------
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_covered_class_sets_have_no_oracle_witness(seed):
+    # a cover holds at every size and for every subset of the set; the
+    # largest set, all of cd1's concrete classes, is the whole-diagram cover
+    for cd1, cd2 in (random_pair(seed), random_pair(seed)[::-1]):
+        witnessed = cd_enumerate_all(cd1, cd2, SCOPE).keys()
+        for cs in _candidate_class_sets(cd1, len(cd1.classes)):
+            if _covered(cd1, cd2, cs):
+                assert not [w for w in witnessed if set(w) <= set(cs)], cs
+
+
+def _canonical(om) -> tuple[frozenset, frozenset]:
+    return frozenset(om.objects), frozenset(om.links)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_raw_enumeration_matches_the_oracle_witnesses(seed):
+    for cd1, cd2 in (random_pair(seed), random_pair(seed)[::-1]):
+        engine = [_canonical(om) for om in enumerate_witnesses(cd1, cd2, SCOPE)]
+        oracle = [_canonical(om) for om in cd_enumerate_all(cd1, cd2, SCOPE).witnesses]
+        assert len(engine) == len(set(engine))
+        assert set(engine) == set(oracle)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_refactored_copies_are_covered_as_whole_diagrams(seed):
+    rng = random.Random(f"cover:{seed}")
+    for cd in random_pair(seed):
+        copy = _renamed_shuffled(rng, cd)
+        for left, right in ((cd, cd), (cd, copy), (copy, cd)):
+            assert _covered(left, right, left.concrete_classes())
+
+
+def _cover_calls(monkeypatch, cd1: ClassDiagram, cd2: ClassDiagram):
+    """(class set, verdict) of every cover test one summary makes."""
+    calls = []
+
+    def recording(left, right, class_set):
+        verdict = _covered(left, right, class_set)
+        calls.append((tuple(class_set), verdict))
+        return verdict
+
+    monkeypatch.setattr("semdiff.cd.diff._covered", recording)
+    cddiff_summary(cd1, cd2, SCOPE)
+    return calls
+
+
+def test_whole_and_per_set_covers_each_fire_on_some_seed(monkeypatch):
+    whole = per_set = False
+    for seed in SEEDS:
+        for cd1, cd2 in (random_pair(seed), random_pair(seed)[::-1]):
+            first, *rest = _cover_calls(monkeypatch, cd1, cd2)
+            whole |= first[1]
+            per_set |= any(verdict for _, verdict in rest)
+    assert whole and per_set
+
+
+def test_a_changed_endpoint_alone_is_not_covered():
+    # B leaves A's hierarchy: cd2 no longer counts B objects at r's end, so
+    # only the endpoint check sees that B -- C links became illegal
+    many = MultRange(0, UNBOUNDED)
+    r = (Association("r", "A", many, "C", many),)
+    cd1 = validate_cd(ClassDiagram("ends_v1", (
+        ClassDecl("A"), ClassDecl("B", parent="A"), ClassDecl("C")), r))
+    cd2 = validate_cd(ClassDiagram("ends_v2", (
+        ClassDecl("A"), ClassDecl("B"), ClassDecl("C")), r))
+    assert not _covered(cd1, cd2, cd1.concrete_classes())
+    assert _covered(cd2, cd1, cd2.concrete_classes())
+    assert [e.key.names for e in cddiff_summary(cd1, cd2, SCOPE).entries] == \
+        cd_enumerate_all(cd1, cd2, SCOPE).keys() == [("A", "B", "C"), ("B", "C")]

@@ -357,3 +357,24 @@ def test_importing_the_cli_does_not_load_json():
     out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                          capture_output=True, text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("case", ["small", "fork5"])
+def test_closed_stdout_exits_2_without_traceback(tmp_path, case):
+    # the read end closes before the child starts, so no write can succeed;
+    # "small" fails at the final flush, "fork5" (over the 8 KiB stdio buffer)
+    # inside main()
+    argv = {"small": ["cddiff", CD2, CD1, "--no-summary"],
+            "fork5": _process_cases(tmp_path)["fork5"]}[case]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "semdiff.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=_child_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode("utf-8").splitlines() == [
+        "error: output closed before it was complete"]
