@@ -40,24 +40,19 @@ class DiffLayers:
     joint steps the left diagram needs to force non-correspondence."""
 
     manager: BddManager
-    layers: tuple[SymbolicSet, ...]
+    layers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prev: SymbolicSet | None = None
-        for s in self.layers:
-            if s.manager is not self.manager:
-                raise ValueError("layer from a different manager")
-            if prev is not None:
-                if s.node == prev.node:
-                    raise ValueError("repeated layer in the chain")
-                if self.manager.band(prev.node, s.node) != prev.node:
-                    raise ValueError("layers must grow monotonically")
-            prev = s
+        for prev, s in zip(self.layers, self.layers[1:]):
+            if s == prev:
+                raise ValueError("repeated layer in the chain")
+            if self.manager.band(prev, s) != prev:
+                raise ValueError("layers must grow monotonically")
 
     def depth(self) -> int:
         return len(self.layers) - 1
 
-    def fixpoint(self) -> SymbolicSet:
+    def fixpoint(self) -> int:
         return self.layers[-1]
 
 
@@ -96,7 +91,7 @@ class DiffTrace:
     constraint: str
 
 
-def non_correspondence(enc: ProductEncoding) -> SymbolicSet:
+def non_correspondence(enc: ProductEncoding) -> int:
     """Pairs where the left diagram has an enabled action the right one
     does not, restricted to in-range input valuations on both sides."""
     m = enc.manager
@@ -105,8 +100,7 @@ def non_correspondence(enc: ProductEncoding) -> SymbolicSet:
         en1 = enc.left.en_by_action.get(a, FALSE)
         en2 = enc.right.en_by_action.get(a, FALSE)
         d0 = m.bor(d0, m.bdiff(en1, en2))
-    d0 = m.band(d0, m.band(enc.left.input_domain, enc.right.input_domain))
-    return SymbolicSet(m, d0)
+    return m.band(d0, m.band(enc.left.input_domain, enc.right.input_domain))
 
 
 def _forward_reach(m: BddManager, start: int, relations: list[int],
@@ -124,7 +118,7 @@ def _forward_reach(m: BddManager, start: int, relations: list[int],
     return reach
 
 
-def reachable_pairs(enc: ProductEncoding) -> SymbolicSet:
+def reachable_pairs(enc: ProductEncoding) -> int:
     """Pairs some joint run reaches from the paired initial states
     (shared inputs equal), moving both diagrams on one action a step."""
     m = enc.manager
@@ -134,10 +128,10 @@ def reachable_pairs(enc: ProductEncoding) -> SymbolicSet:
              if a in enc.right.t_by_action]
     cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
     ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
-    return SymbolicSet(m, _forward_reach(m, start, joint, cur, ren))
+    return _forward_reach(m, start, joint, cur, ren)
 
 
-def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
+def backward_fixpoint(enc: ProductEncoding, d0: int) -> DiffLayers:
     """Least fixpoint of the one-step forcing operator over d0, played on
     the reachable pairs only.
 
@@ -150,12 +144,12 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
     exactly the unrestricted layer intersected with reachable_pairs.
     """
     m = enc.manager
-    reach = reachable_pairs(enc).node
+    reach = reachable_pairs(enc)
     ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
     nxt1 = enc.left.next_levels()
     nxt2 = enc.right.next_levels()
 
-    d = m.band(d0.node, reach)
+    d = m.band(d0, reach)
     layers = [d]
     while True:
         outside = m.bnot(m.rename(d, ren))
@@ -174,15 +168,14 @@ def backward_fixpoint(enc: ProductEncoding, d0: SymbolicSet) -> DiffLayers:
             break
         layers.append(new)
         d = new
-    return DiffLayers(m, tuple(SymbolicSet(m, x) for x in layers))
+    return DiffLayers(m, tuple(layers))
 
 
-def initial_diff_states(enc: ProductEncoding, layers: DiffLayers) -> SymbolicSet:
+def initial_diff_states(enc: ProductEncoding, layers: DiffLayers) -> int:
     """Paired initial states (shared inputs equal) inside the fixpoint."""
     m = enc.manager
-    node = m.band(m.band(enc.left.init, enc.right.init),
-                  m.band(enc.input_match, layers.fixpoint().node))
-    return SymbolicSet(m, node)
+    return m.band(m.band(enc.left.init, enc.right.init),
+                  m.band(enc.input_match, layers.fixpoint()))
 
 
 def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrace]:
@@ -203,7 +196,7 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
     is expanded once and its children serve every prefix reaching it.
     """
     m = enc.manager
-    report = enc.report_levels()
+    report = enc.report_levels
     found: dict[tuple[str, ...], int] = {}
 
     def emit(key: tuple[str, ...], inputs: int) -> None:
@@ -220,7 +213,7 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
         if d == 0:
             return [(a, project(leaf)) for a, t in diverge
                     if (leaf := m.band(pairs, t)) != FALSE]
-        below = layers.layers[d - 1].node
+        below = layers.layers[d - 1]
         return [(a, img) for a, t in joint
                 if (img := m.band(m.rename(m.and_exists(pairs, t, cur), ren), below)) != FALSE]
 
@@ -231,11 +224,11 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
     joint = [(a, m.band(enc.left.t_by_action.get(a, FALSE),
                         enc.right.t_by_action.get(a, FALSE))) for a in enc.alphabet]
     memo: dict[tuple[int, int], list[tuple[str, int]]] = {}
-    init = initial_diff_states(enc, layers).node
+    init = initial_diff_states(enc, layers)
     prev = FALSE
     for depth, layer in enumerate(layers.layers):
-        group = m.band(init, m.bdiff(layer.node, prev))
-        prev = layer.node
+        group = m.band(init, m.bdiff(layer, prev))
+        prev = layer
         # depth first, actions in alphabet order: an explicit stack with
         # each node's children pushed in reverse
         stack = [(group, depth, ())] if group != FALSE else []
@@ -266,34 +259,27 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
 def _input_family(enc: ProductEncoding, actions: tuple[str, ...],
                   node: int) -> SymbolicTrace:
     m = enc.manager
-    bundles = tuple(enc.report_bundles())
-    levels = enc.report_levels()
     product = TRUE
-    for b in bundles:
+    for b in enc.report_bundles:
         own = set(b.levels)
-        product = m.band(product, m.exists(node, [lvl for lvl in levels
+        product = m.band(product, m.exists(node, [lvl for lvl in enc.report_levels
                                                   if lvl not in own]))
     return SymbolicTrace(actions, SymbolicSet(m, node),
-                         product == node, bundles)
+                         product == node, enc.report_bundles)
 
 
-def trace_exact(ad1: ActivityDiagram, ad2: ActivityDiagram,
-                enc: ProductEncoding | None = None) -> bool:
+def trace_exact(enc: ProductEncoding) -> bool:
     """Does the pair game decide trace difference for this direction?
 
     Yes iff the right diagram is observably deterministic and every
     input it declares is also an input of the left one (otherwise the
     right side could dodge divergence by picking inputs or successors
     the pairing fixes arbitrarily).  Determinism is decided on enc, the
-    product encoding of the pair, which is built if not given.
+    product encoding of the pair.
     """
-    names1 = {v.name for v in ad1.inputs}
-    names2 = {v.name for v in ad2.inputs}
-    if not names2 <= names1:
-        return False
-    if enc is None:
-        enc = encode_product(ad1, ad2)
-    return is_deterministic(enc.manager, enc.right)
+    names1 = {v.name for v in enc.left.ad.inputs}
+    names2 = {v.name for v in enc.right.ad.inputs}
+    return names2 <= names1 and is_deterministic(enc.manager, enc.right)
 
 
 def is_deterministic(m: BddManager, bank: AdBank) -> bool:
@@ -379,8 +365,7 @@ def _replay(enc: ProductEncoding, ad: ActivityDiagram, at: Configuration,
     return path
 
 
-def concretize(enc: ProductEncoding, st: SymbolicTrace,
-               *, exact: bool | None = None) -> DiffTrace:
+def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffTrace:
     """Pick the least valuation of st and replay it explicitly.
 
     The left diagram must realize the full action list.  When the
@@ -391,8 +376,6 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
     Start configurations and steps come from the encoding's caches;
     every trace is still replayed.
     """
-    if exact is None:
-        exact = trace_exact(enc.left.ad, enc.right.ad, enc)
     m = enc.manager
     chosen = m.pick_one(st.init_inputs.node, list(st.bundles))
     ad1, ad2 = enc.left.ad, enc.right.ad
@@ -423,7 +406,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace,
 
 
 def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
-                          *, exact: bool | None = None) -> SummaryReport:
+                          *, exact: bool) -> SummaryReport:
     """One entry per action list, annotated with its input constraint."""
     entries = []
     for st in traces:
@@ -487,7 +470,7 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     """Diff traces of ad1 against ad2: divergences of ad1 the other
     diagram cannot follow, one symbolic trace per action list."""
     enc = encode_product(ad1, ad2, bit_budget=bit_budget)
-    exact = trace_exact(ad1, ad2, enc)
+    exact = trace_exact(enc)
     layers = backward_fixpoint(enc, non_correspondence(enc))
     traces = forward_split(enc, layers)
     lists = summarize_action_list(enc, traces, exact=exact)

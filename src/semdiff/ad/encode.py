@@ -97,21 +97,12 @@ class ProductEncoding:
     input_match: int  # shared-name inputs agree by value
     # report-facing input bundles: the left diagram's inputs in
     # declaration order, then inputs only the right diagram declares
-    _left_order: tuple[str, ...] = ()
-    input_bundles_left: dict[str, VarBundle] = field(default_factory=dict)
-    input_bundles_right_only: list[VarBundle] = field(default_factory=list)
+    report_bundles: tuple[VarBundle, ...]
+    report_levels: frozenset[int]  # the levels of report_bundles
     # observable steps per (id(diagram), configuration); see ad.diff._steps
     steps: dict = field(default_factory=dict)
     # start configurations per (id(diagram), pinned valuation); see ad.diff._starts
     starts: dict = field(default_factory=dict)
-
-    def report_bundles(self) -> list[VarBundle]:
-        out = [self.input_bundles_left[name] for name in self._left_order]
-        out.extend(self.input_bundles_right_only)
-        return out
-
-    def report_levels(self) -> set[int]:
-        return {lvl for b in self.report_bundles() for lvl in b.levels}
 
 
 def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
@@ -130,13 +121,13 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     _allocate_inputs(m, left, right)
     _allocate_state(m, left, right)
 
-    enc = ProductEncoding(m, alphabet, left, right, TRUE)
-    enc._left_order = tuple(v.name for v in ad1.inputs)
-    enc.input_bundles_left = dict(left.input_bundles)
     shared = {v.name for v in ad1.inputs} & {v.name for v in ad2.inputs}
-    enc.input_bundles_right_only = [right.input_bundles[v.name]
-                                    for v in ad2.inputs if v.name not in shared]
-    enc.input_match = _input_match(m, left, right, shared)
+    # left.input_bundles is filled in declaration order
+    report = tuple(left.input_bundles.values()) + tuple(
+        right.input_bundles[v.name] for v in ad2.inputs if v.name not in shared)
+    enc = ProductEncoding(m, alphabet, left, right,
+                          _input_match(m, left, right, shared),
+                          report, frozenset(lvl for b in report for lvl in b.levels))
 
     for bank in (left, right):
         _compile_bank(m, bank)

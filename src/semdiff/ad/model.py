@@ -185,10 +185,6 @@ class InputAssignmentError(AdValidationError):
     pass
 
 
-class UnsafeTokenError(RuntimeError):
-    """Firing would place a second token on an occupied edge."""
-
-
 class RangeViolationError(RuntimeError):
     """Effect drove a variable outside its declared range."""
 
@@ -420,7 +416,7 @@ def initial_configs(ad: ActivityDiagram,
 
 def _fire_silent(ad: ActivityDiagram, c: Configuration) -> list[Configuration]:
     """All configurations one silent firing away from c."""
-    out: list[Configuration] = []
+    out: list[Configuration | None] = []
     env = c.env()
     for n in ad.nodes:
         if n.kind not in SILENT_KINDS or n.kind == INITIAL:
@@ -451,14 +447,15 @@ def _fire_silent(ad: ActivityDiagram, c: Configuration) -> list[Configuration]:
             if all(e.id in c.tokens for e in ins):
                 e_out = ad.out_edges(n.id)[0]
                 out.append(_move(c, {e.id for e in ins}, {e_out.id}))
-    return out
+    return [s for s in out if s is not None]
 
 
-def _move(c: Configuration, consume: set[str], produce: set[str]) -> Configuration:
+def _move(c: Configuration, consume: set[str], produce: set[str]) -> Configuration | None:
+    """c with the consumed tokens moved onto produce, or None when that
+    would put a second token on an edge: such a firing never happens."""
     left = c.tokens - consume
-    clash = left & produce
-    if clash:
-        raise UnsafeTokenError(f"second token on edge(s) {sorted(clash)}")
+    if left & produce:
+        return None
     return Configuration(left | produce, c.valuation)
 
 
@@ -484,20 +481,6 @@ def silent_closure(ad: ActivityDiagram, c: Configuration) -> frozenset[Configura
     return frozenset(quiescent)
 
 
-def stuck_decisions(ad: ActivityDiagram, c: Configuration) -> list[str]:
-    """Decision nodes holding a token no guard lets out of c."""
-    env = c.env()
-    out = []
-    for n in ad.nodes:
-        if n.kind != DECISION:
-            continue
-        e_in = ad.in_edges(n.id)[0]
-        if e_in.id in c.tokens and not any(
-                eval_bool(e.guard, env) for e in ad.out_edges(n.id)):
-            out.append(n.id)
-    return out
-
-
 def _apply_effects(ad: ActivityDiagram, node: Node, env: dict[str, int]) -> dict[str, int]:
     ranges = {v.name: (v.lo, v.hi) for v in ad.variables()}
     env = dict(env)
@@ -512,7 +495,9 @@ def _apply_effects(ad: ActivityDiagram, node: Node, env: dict[str, int]) -> dict
 
 def observable_steps(ad: ActivityDiagram, c: Configuration) -> list[ObservableStep]:
     """Actions fireable from c after closing silent firings (closure first,
-    never after: successors are raw post-action configurations)."""
+    never after: successors are raw post-action configurations).  A firing
+    whose effects leave a declared range, or that would put a second token
+    on an edge, does not happen."""
     steps: set[ObservableStep] = set()
     for cq in silent_closure(ad, c):
         for n in ad.nodes:
@@ -522,14 +507,14 @@ def observable_steps(ad: ActivityDiagram, c: Configuration) -> list[ObservableSt
             if e_in.id not in cq.tokens:
                 continue
             e_out = ad.out_edges(n.id)[0]
-            env = _apply_effects(ad, n, cq.env())
+            try:
+                env = _apply_effects(ad, n, cq.env())
+            except RangeViolationError:
+                continue
             succ = _move(Configuration.make(cq.tokens, env), {e_in.id}, {e_out.id})
-            steps.add(ObservableStep(n.name(), succ))
+            if succ is not None:
+                steps.add(ObservableStep(n.name(), succ))
     return sorted(steps, key=lambda s: (s.action, s.successor.sort_key()))
-
-
-def enabled_actions(ad: ActivityDiagram, c: Configuration) -> set[str]:
-    return {s.action for s in observable_steps(ad, c)}
 
 
 @dataclass
@@ -569,15 +554,3 @@ def build_explicit_ts(ad: ActivityDiagram, *, state_budget: int = 100_000) -> Ex
             if j not in done:
                 queue.append(j)
     return ExplicitTS(states, initial, steps)
-
-
-def is_observably_deterministic(ad: ActivityDiagram) -> bool:
-    """No reachable state has two distinct successors under one action name."""
-    ts = build_explicit_ts(ad)
-    for outs in ts.steps:
-        by_action: dict[str, set[int]] = {}
-        for action, j in outs:
-            by_action.setdefault(action, set()).add(j)
-        if any(len(v) > 1 for v in by_action.values()):
-            return False
-    return True

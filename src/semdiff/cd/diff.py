@@ -35,29 +35,19 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryReport, summarize
 from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
                     ObjectModel, check_instance, classes_of, conforms,
                     is_instance)
 
 
-@dataclass(frozen=True)
-class Scope:
-    max_objects: int
-
-    def __post_init__(self) -> None:
-        if self.max_objects < 1:
-            raise ValueError(f"scope must allow at least one object, got {self.max_objects}")
-
-
-DEFAULT_SCOPE = Scope(10)
-
 ClassSet = tuple[str, ...]  # sorted class names
 
 
-def _as_scope(scope: "Scope | int") -> Scope:
-    return scope if isinstance(scope, Scope) else Scope(scope)
+def _check_scope(scope: int) -> None:
+    """A scope is the most objects a witness may have; it must allow one."""
+    if scope < 1:
+        raise ValueError(f"scope must allow at least one object, got {scope}")
 
 
 def _candidate_class_sets(cd1: ClassDiagram, size_cap: int) -> list[ClassSet]:
@@ -212,11 +202,11 @@ def _covered(cd1: ClassDiagram, cd2: ClassDiagram, class_set: Sequence[str]) -> 
     return True
 
 
-def _universes(cd1: ClassDiagram, scope: Scope) -> Iterator[tuple[ClassSet, tuple]]:
+def _universes(cd1: ClassDiagram, scope: int) -> Iterator[tuple[ClassSet, tuple]]:
     """(class set, objects) of every universe in search order, pruned."""
-    class_sets = [cs for cs in _candidate_class_sets(cd1, scope.max_objects)
+    class_sets = [cs for cs in _candidate_class_sets(cd1, scope)
                   if _may_instantiate(cd1, cs)]
-    for total in range(1, scope.max_objects + 1):
+    for total in range(1, scope + 1):
         for cs in class_sets:
             if len(cs) <= total:
                 for counts in _count_vectors(total, len(cs)):
@@ -440,12 +430,13 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
 
 
 def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
-                     scope: Scope) -> Iterator[ObjectModel]:
+                     scope: int) -> Iterator[ObjectModel]:
     """The first witness of each class set, in search order.
 
     A set is tested for a cover only once one of its universes has no
     witness, so sets that are witnessed at once never pay for the test.
     """
+    _check_scope(scope)
     if _covered(cd1, cd2, cd1.concrete_classes()):
         return
     skip: dict[ClassSet, bool] = {}  # True: witnessed or covered
@@ -462,15 +453,15 @@ def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
 
 
 def find_witness(cd1: ClassDiagram, cd2: ClassDiagram,
-                 scope: Scope | int) -> ObjectModel | None:
+                 scope: int) -> ObjectModel | None:
     """Smallest witness by object count, or None when none exists in scope.
 
     Deterministic: the first witness of the search order the summary uses.
     """
-    return next(_first_witnesses(cd1, cd2, _as_scope(scope)), None)
+    return next(_first_witnesses(cd1, cd2, scope), None)
 
 
-def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int,
+def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
                         limit: int | None = None) -> Iterator[ObjectModel]:
     """Witnesses in search order, up to `limit`; every one, not one per set.
 
@@ -478,11 +469,12 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int
     (possibly huge) instance streams only run where a witness is known to
     exist; covered class sets are skipped as in `_first_witnesses`.
     """
+    _check_scope(scope)
     if _covered(cd1, cd2, cd1.concrete_classes()):
         return
     covered: dict[ClassSet, bool] = {}
     emitted = 0
-    for cs, objects in _universes(cd1, _as_scope(scope)):
+    for cs, objects in _universes(cd1, scope):
         if covered.get(cs):
             continue
         if _universe_witness(cd1, cd2, objects, "probe") is None:
@@ -498,9 +490,9 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: Scope | int
 
 
 def cddiff_summary(cd1: ClassDiagram, cd2: ClassDiagram,
-                   scope: Scope | int = DEFAULT_SCOPE) -> SummaryReport:
+                   scope: int = 10) -> SummaryReport:
     """One representative witness per instantiated class set, exhaustively."""
-    found = list(_first_witnesses(cd1, cd2, _as_scope(scope)))
+    found = list(_first_witnesses(cd1, cd2, scope))
     for om in found:
         verdict = check_instance(om, cd1)
         assert verdict.ok, f"engine produced an invalid witness: {verdict.violations}"

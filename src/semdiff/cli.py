@@ -21,7 +21,7 @@ temporary files and registers no `atexit` handler.  A closed pipe,
 whether a `print` in `main()` or the final flush meets it, points fd 1 at
 /dev/null and exits 2; if a flush fails otherwise (say, no stream), `run()`
 exits through `sys.exit`.
-`json` is imported only where JSON is written or read.
+`json` is imported only where JSON is written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .cd.model import (ClassDiagram, ObjectModel, check_instance, is_instance,
 from .errors import InternalError, LimitError
 from .oracle import ScopeTooLargeError, ad_diff_bfs, cd_enumerate_all
 from .parsing import ParseError, parse_model, print_od
-from .summary import PartitionKey, SummaryEntry, SummaryReport
+from .summary import PartitionKey, SummaryReport
 
 EXIT_DIFFS = 0
 EXIT_NO_DIFFS = 1
@@ -121,25 +121,6 @@ def render_json_lines(report: SummaryReport) -> str:
              "annotation": e.annotation},
             ensure_ascii=False, sort_keys=True))
     return "\n".join(out)
-
-
-def load_json_lines(text: str,
-                    direction: tuple[str, str] = ("", "")) -> SummaryReport:
-    """Inverse of render_json_lines up to representative text."""
-    import json
-    entries = []
-    kinds: set[str] = set()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        key = PartitionKey(obj["key"]["kind"], tuple(obj["key"]["names"]))
-        kinds.add(key.kind)
-        entries.append(SummaryEntry(key, obj["representative"], obj["annotation"]))
-    if len(kinds) > 1:
-        raise ValueError(f"mixed partition kinds in one report: {sorted(kinds)}")
-    entries.sort(key=lambda e: e.key.payload)
-    return SummaryReport(direction, kinds.pop() if kinds else "class-set", entries)
 
 
 def _print_report(report: SummaryReport, heading: str, fmt: str) -> None:

@@ -181,7 +181,10 @@ class _Parser:
 # ------------------------------------------------------------ class diagrams
 
 def parse_cd(text: str, source: str | None = None) -> ClassDiagram:
-    p = _Parser(text, source)
+    return _cd(_Parser(text, source))
+
+
+def _cd(p: _Parser) -> ClassDiagram:
     p.expect("classdiagram")
     name = p.ident()
     p.expect("{")
@@ -247,7 +250,10 @@ def print_cd(cd: ClassDiagram) -> str:
 # ------------------------------------------------------------- object models
 
 def parse_od(text: str, source: str | None = None) -> ObjectModel:
-    p = _Parser(text, source)
+    return _od(_Parser(text, source))
+
+
+def _od(p: _Parser) -> ObjectModel:
     p.expect("objectdiagram")
     name = p.ident()
     p.expect("{")
@@ -286,7 +292,10 @@ def print_od(om: ObjectModel) -> str:
 # --------------------------------------------------------- activity diagrams
 
 def parse_ad(text: str, source: str | None = None) -> ActivityDiagram:
-    p = _Parser(text, source)
+    return _ad(_Parser(text, source))
+
+
+def _ad(p: _Parser) -> ActivityDiagram:
     p.expect("activitydiagram")
     name = p.ident()
     p.expect("{")
@@ -383,21 +392,23 @@ def print_ad(ad: ActivityDiagram) -> str:
 
 # ----------------------------------------------------------------- dispatch
 
+_KINDS = {"classdiagram": "cd", "objectdiagram": "od", "activitydiagram": "ad"}
+
+
+def _kind(p: _Parser) -> str:
+    head = p.peek()
+    if head.kind == "ident" and head.value in _KINDS:
+        return _KINDS[head.value]
+    raise ParseError("expected classdiagram, objectdiagram or activitydiagram",
+                     head.line, head.col, p.source)
+
+
 def model_kind(text: str, source: str | None = None) -> str:
     """Kind from the top-level keyword, not the file extension."""
-    toks = tokenize(text, source)
-    head = toks[0]
-    kinds = {"classdiagram": "cd", "objectdiagram": "od", "activitydiagram": "ad"}
-    if head.kind == "ident" and head.value in kinds:
-        return kinds[head.value]
-    raise ParseError("expected classdiagram, objectdiagram or activitydiagram",
-                     head.line, head.col, source)
+    return _kind(_Parser(text, source))
 
 
 def parse_model(text: str, source: str | None = None):
-    kind = model_kind(text, source)
-    if kind == "cd":
-        return parse_cd(text, source)
-    if kind == "od":
-        return parse_od(text, source)
-    return parse_ad(text, source)
+    """Parse a model of any kind, dispatching on its top-level keyword."""
+    p = _Parser(text, source)
+    return {"cd": _cd, "od": _od, "ad": _ad}[_kind(p)](p)

@@ -7,7 +7,7 @@ function; this module only knows about keys, ordering and the fold.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .record import field, record as dataclass
 
@@ -75,13 +75,12 @@ class SummaryReport:
 
     direction is (left model name, right model name): witnesses are valid in
     the left model and not in the right one.  entries are sorted by key
-    payload.  exhaustive is False when the witness stream was cut short.
+    payload.
     """
 
     direction: tuple[str, str]
     partition_kind: str
     entries: list[SummaryEntry] = field(default_factory=list)
-    exhaustive: bool = True
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -97,12 +96,11 @@ def summarize(
     direction: tuple[str, str],
     partition_kind: str,
     annotate: Callable[[object], str] | None = None,
-    truncated: bool = False,
 ) -> SummaryReport:
     """Fold a witness stream into one representative per distinct key.
 
     The first witness seen for a key is kept; entries come out sorted by
-    key payload.  exhaustive is True iff the stream terminated naturally.
+    key payload.
     """
     seen: dict[PartitionKey, SummaryEntry] = {}
     for w in witnesses:
@@ -114,9 +112,4 @@ def summarize(
         if key not in seen:
             seen[key] = SummaryEntry(key, w, annotate(w) if annotate else "")
     entries = sorted(seen.values(), key=lambda e: e.key.payload)
-    return SummaryReport(direction, partition_kind, entries, exhaustive=not truncated)
-
-
-def iter_representatives(report: SummaryReport) -> Iterator[object]:
-    for e in report.entries:
-        yield e.representative
+    return SummaryReport(direction, partition_kind, entries)

@@ -19,7 +19,7 @@ from semdiff.ad.diff import (
 )
 from semdiff.ad.encode import BitBudgetExceededError, encode_product
 from semdiff.ad.model import ActivityDiagram, Node
-from semdiff.bdd import BddManager, SymbolicSet, VarBundle, mk_var
+from semdiff.bdd import BddManager, SymbolicSet, VarBundle
 from semdiff.oracle import ad_diff_bfs, is_diff_trace
 from semdiff.parsing import parse_ad
 
@@ -95,12 +95,12 @@ def test_layer_chain_counts_forcing_distance():
     assert init
     # the start pair needs all three joint steps, so it enters the
     # chain at the last layer and no earlier
-    assert m.band(init.node, layers.layers[2].node) == 0
-    assert m.band(init.node, layers.fixpoint().node) == init.node
+    assert m.band(init, layers.layers[2]) == 0
+    assert m.band(init, layers.fixpoint()) == init
 
     traces = forward_split(enc, layers)
     assert [st.actions for st in traces] == [("a", "b", "c", "d")]
-    rep = concretize(enc, traces[0])
+    rep = concretize(enc, traces[0], exact=True)
     assert rep.actions == ("a", "b", "c", "d")
     assert rep.valuation == ()
     assert len(rep.configs) == 5
@@ -119,14 +119,11 @@ def test_disjoint_alphabets_diverge_immediately():
 def test_layers_reject_non_monotone_chains():
     m = BddManager()
     m.new_var("x")
-    x = mk_var(m, 0)
+    x = m.var(0)
     with pytest.raises(ValueError, match="monotonically"):
-        DiffLayers(m, (x, ~x))
+        DiffLayers(m, (x, m.bnot(x)))
     with pytest.raises(ValueError, match="repeated"):
         DiffLayers(m, (x, x))
-    other = BddManager()
-    with pytest.raises(ValueError, match="different manager"):
-        DiffLayers(m, (x, other.true_set))
 
 
 def test_symbolic_trace_shape_is_checked():
@@ -221,7 +218,7 @@ def nd_twin() -> ActivityDiagram:
 def test_nondeterministic_right_side_weakens_to_simulation():
     nd = nd_twin()
     single = chain("single", ["go"])
-    assert trace_exact(single, nd) is False
+    assert trace_exact(encode_product(single, nd)) is False
     res = addiff(single, nd)
     assert res.semantics == "simulation"
     assert not res.has_diffs
@@ -234,7 +231,7 @@ def test_nondeterministic_right_side_weakens_to_simulation():
 def test_extra_right_side_inputs_weaken_to_simulation():
     left = chain("left", ["a"])
     right = _ad(NARROW)
-    assert trace_exact(left, right) is False
+    assert trace_exact(encode_product(left, right)) is False
     assert addiff(left, right).semantics == "simulation"
 
 

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from semdiff.ad import (build_explicit_ts, enabled_actions, initial_configs,
-                        is_observably_deterministic, observable_steps,
-                        silent_closure, stuck_decisions, validate_ad)
+from semdiff.ad import (build_explicit_ts, initial_configs, observable_steps,
+                        silent_closure, validate_ad)
 from semdiff.ad.model import (ActivityDiagram, BadDegreeError, Configuration,
                               Edge, InputAssignmentError, MisplacedGuardError,
                               Node, RangeViolationError, SilentCycleError,
-                              UndeclaredVariableError, VarDecl)
+                              UndeclaredVariableError, VarDecl, _apply_effects)
 from semdiff.parsing import parse_ad
+
+from explicit import enabled_actions, is_observably_deterministic, stuck_decisions
 
 
 def _ad(text: str) -> ActivityDiagram:
@@ -199,9 +200,12 @@ def test_effect_overflow_raises_range_violation():
       edge i -> a;
       edge a -> f;
     }""")
-    c = initial_configs(ad)[0]
+    (a,) = [n for n in ad.nodes if n.id == "a"]
     with pytest.raises(RangeViolationError):
-        observable_steps(ad, c)
+        _apply_effects(ad, a, {"y": 3})
+    # the firing that would overflow never happens, as in the encoder
+    c = initial_configs(ad)[0]
+    assert observable_steps(ad, c) == []
 
 
 # ------------------------------------------------------------- whole systems

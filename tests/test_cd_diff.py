@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from semdiff.cd import (Scope, cddiff_summary, check_instance, classes_of,
+from semdiff.cd import (cddiff_summary, check_instance, classes_of,
                         enumerate_witnesses, find_witness, is_instance)
 from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _choose_links,
                              _count_vectors, _universe_witness)
@@ -10,9 +10,16 @@ from semdiff.oracle import cd_enumerate_all
 from semdiff.parsing import parse_cd
 
 
-def test_scope_must_be_positive():
-    with pytest.raises(ValueError, match="at least one object"):
-        Scope(0)
+def test_scope_must_be_positive(cd_v1):
+    # a self-diff is covered as a whole diagram, so the check must come
+    # before the cover test returns
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least one object"):
+            cddiff_summary(cd_v1, cd_v1, bad)
+        with pytest.raises(ValueError, match="at least one object"):
+            find_witness(cd_v1, cd_v1, bad)
+        with pytest.raises(ValueError, match="at least one object"):
+            list(enumerate_witnesses(cd_v1, cd_v1, bad))
 
 
 def test_count_vectors_are_positive_compositions():
@@ -90,8 +97,8 @@ def test_summary_is_deterministic(cd_v1, cd_v2):
 
 
 def test_summary_accepts_plain_int_scope(cd_v1, cd_v2):
-    assert cddiff_summary(cd_v2, cd_v1, Scope(3)).keys() == \
-        cddiff_summary(cd_v2, cd_v1, 3).keys()
+    assert [k.names for k in cddiff_summary(cd_v2, cd_v1, 3).keys()] == \
+        cd_enumerate_all(cd_v2, cd_v1, 3).keys()
 
 
 # ------------------------------------------------------------- enumeration

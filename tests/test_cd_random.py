@@ -3,6 +3,9 @@
 Each seed draws a small diagram (at most four classes, inheritance,
 abstract classes, mixed multiplicities) and a mutated copy of it, through
 `random.Random(seed)` only, so every case is reproducible from its seed.
+The mutation changes multiplicities, or from RETARGET_FROM on moves one
+end of each kept association to another class and keeps its
+multiplicities, so that only link endpoints tell those pairs apart.
 The checks compare the bounded search with the exhaustive enumeration of
 `semdiff.oracle` and conformance with a parent walk written here.
 
@@ -25,7 +28,8 @@ from semdiff.cd.model import UNBOUNDED
 from semdiff.oracle import cd_enumerate_all, enumerate_object_models
 
 SCOPE = 3
-SEEDS = range(12)
+SEEDS = range(24)
+RETARGET_FROM = 12
 ORACLE_BUDGET = 20_000
 NAMES = ("A", "B", "C", "D")
 MULTS = (MultRange(0, 1), MultRange(1, 1), MultRange(0, UNBOUNDED),
@@ -43,7 +47,7 @@ def _classes(rng: random.Random, names) -> list[ClassDecl]:
     return out
 
 
-def _mutated(rng: random.Random, cd: ClassDiagram) -> ClassDiagram:
+def _mutated(rng: random.Random, cd: ClassDiagram, retarget: bool) -> ClassDiagram:
     names = cd.class_names()
     classes = []
     for i, c in enumerate(cd.classes):
@@ -57,6 +61,12 @@ def _mutated(rng: random.Random, cd: ClassDiagram) -> ClassDiagram:
     assocs = []
     for a in cd.associations:
         if rng.random() < 0.15:
+            continue
+        if retarget:
+            ends = [a.class_a, a.class_b]
+            side = rng.randrange(2)
+            ends[side] = rng.choice([n for n in names if n != ends[side]])
+            assocs.append(Association(a.name, ends[0], a.mult_a, ends[1], a.mult_b))
             continue
         mult_a, mult_b = a.mult_a, a.mult_b
         if rng.random() < 0.5:
@@ -102,7 +112,7 @@ def random_pair(seed: int) -> tuple[ClassDiagram, ClassDiagram]:
                         rng.choice(names), rng.choice(MULTS))
             for i in range(rng.randint(1, 2)))
         cd1 = validate_cd(ClassDiagram(f"rand{seed}", tuple(_classes(rng, names)), assocs))
-        cd2 = _mutated(rng, cd1)
+        cd2 = _mutated(rng, cd1, retarget=seed >= RETARGET_FROM)
         if max(_oracle_work(cd1, SCOPE), _oracle_work(cd2, SCOPE)) <= ORACLE_BUDGET:
             return cd1, cd2
 

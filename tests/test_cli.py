@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FIXTURES
 from semdiff.ad.diff import ReplayMismatchError
-from semdiff.cli import load_json_lines, main
+from semdiff.cli import main
 from semdiff.oracle import StateBudgetExceededError
 
 CD1 = str(FIXTURES / "cd_v1.cd")
@@ -66,12 +66,11 @@ def test_cddiff_json_lines_roundtrip(capsys):
         assert list(obj) == ["annotation", "key", "representative"]
         assert obj["key"]["kind"] == "class-set"
         assert obj["representative"].startswith("objectdiagram")
-    report = load_json_lines(out)
-    assert [e.key.names for e in report.entries] == [
-        ("Employee", "Manager"),
-        ("Employee", "Manager", "Task"),
-        ("Manager",),
-        ("Manager", "Task"),
+    assert [json.loads(ln)["key"]["names"] for ln in lines] == [
+        ["Employee", "Manager"],
+        ["Employee", "Manager", "Task"],
+        ["Manager"],
+        ["Manager", "Task"],
     ]
 
 
@@ -189,6 +188,44 @@ def test_addiff_oracle_skips_simulation_directions(capsys, tmp_path):
     code, _, err = run(capsys, "addiff", str(plain), str(gated), "--oracle")
     assert code == 1
     assert "oracle cross-check skipped: simulation semantics" in err
+
+
+# a fork whose two branches meet at a merge (a second token would land on
+# the merge's out-edge) and an effect that leaves its range: neither the
+# encoder nor the explicit simulator fires such a step
+BLOCKED = {
+    "plain": """activitydiagram plain {
+      initial i; action a; final f; edge i -> a; edge a -> f; }""",
+    "unsafe": """activitydiagram unsafe {
+      initial i; fork k; merge m; action a; final f;
+      edge i -> k; edge k -> m; edge k -> m; edge m -> a; edge a -> f; }""",
+    "range": """activitydiagram range {
+      local c : 0..1 = 0;
+      initial i; action tick { c := c + 5; }; final f;
+      edge i -> tick; edge tick -> f; }""",
+}
+
+
+@pytest.mark.parametrize("left,right,status,first", [
+    ("unsafe", "plain", 0, "a -> a"),
+    ("plain", "unsafe", 1, None),
+    ("range", "plain", 1, None),
+    ("plain", "range", 0, "a"),
+    ("unsafe", "range", 0, "a"),
+    ("range", "unsafe", 1, None),
+])
+def test_blocked_firings_answer_without_traceback(capsys, tmp_path, left, right,
+                                                  status, first):
+    for name, text in BLOCKED.items():
+        (tmp_path / f"{name}.ad").write_text(text)
+    argv = ["addiff", str(tmp_path / f"{left}.ad"), str(tmp_path / f"{right}.ad")]
+    code, out, _ = run(capsys, *argv)
+    assert code == status
+    if first is not None:
+        assert out.splitlines()[1] == f"  [1] {first}"
+    code, oracle_out, err = run(capsys, *argv, "--oracle")
+    assert (code, oracle_out) == (status, out)
+    assert "mismatch" not in err
 
 
 # -- check ----------------------------------------------------------------

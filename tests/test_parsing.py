@@ -37,6 +37,23 @@ def test_parse_model_dispatches_on_leading_keyword():
     assert cd == parse_cd(fixture_text("cd_v1.cd"))
 
 
+@pytest.mark.parametrize("name,parse", [
+    ("cd_v1.cd", parse_cd), ("om1.od", parse_od), ("ad_v3.ad", parse_ad)])
+def test_parse_model_tokenizes_its_input_once(monkeypatch, name, parse):
+    import semdiff.parsing as parsing
+    calls = []
+
+    def counting(text, source=None):
+        calls.append(source)
+        return tokenize(text, source)
+
+    tokenize = parsing.tokenize
+    monkeypatch.setattr(parsing, "tokenize", counting)
+    model = parse_model(fixture_text(name), source=name)
+    assert calls == [name]
+    assert model == parse(fixture_text(name))
+
+
 # ------------------------------------------------------------- diagnostics
 
 def test_error_carries_line_and_column():

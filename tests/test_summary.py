@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from semdiff.summary import (PartitionKey, PartitionKeyError, SummaryEntry,
-                             SummaryReport, iter_representatives, summarize)
+from semdiff.summary import PartitionKey, PartitionKeyError, summarize
 
 
 class TestPartitionKey:
@@ -53,7 +52,6 @@ def test_summarize_keeps_first_witness_per_key():
                     direction=("l", "r"), partition_kind="class-set")
     assert [e.key.names for e in rep.entries] == [("A",), ("B",), ("C",)]
     assert [e.representative for e in rep.entries] == ["a1", "b1", "c1"]
-    assert rep.exhaustive
     assert len(rep) == 3
 
 
@@ -70,22 +68,7 @@ def test_summarize_empty_stream():
     assert rep.entries == [] and rep.keys() == []
 
 
-def test_summarize_truncated_flag():
-    rep = summarize(["a"], lambda w: PartitionKey.class_set(["A"]),
-                    direction=("l", "r"), partition_kind="class-set",
-                    truncated=True)
-    assert not rep.exhaustive
-
-
 def test_summarize_rejects_mismatched_kind():
     with pytest.raises(PartitionKeyError, match="does not match report kind"):
         summarize(["a"], lambda w: PartitionKey.action_set(["a"]),
                   direction=("l", "r"), partition_kind="class-set")
-
-
-def test_iter_representatives_follows_entry_order():
-    rep = SummaryReport(("l", "r"), "action-list", [
-        SummaryEntry(PartitionKey.action_list(("a",)), 1),
-        SummaryEntry(PartitionKey.action_list(("b",)), 2),
-    ])
-    assert list(iter_representatives(rep)) == [1, 2]
