@@ -286,21 +286,15 @@ def is_deterministic(m: BddManager, bank: AdBank) -> bool:
     """No reachable state of the bank's diagram has two distinct
     successors under one action name.
 
-    Two distinct successors differ in some next-state bit, and inputs
-    are rigid, so the diagram is nondeterministic on action a iff for
-    some next-state bit b a reachable state has an a-successor with b
-    set and one with b clear.
+    Inputs are rigid, so the diagram is nondeterministic on action a iff
+    a reachable state has at least two a-successors, that is iff it lies
+    in branching(T_a, next-state levels): one pass per action.
     """
     nxt = bank.next_levels()
     reach = _forward_reach(m, bank.init, list(bank.t_by_action.values()),
                            bank.cur_state_levels(), bank.next_to_cur())
-    for t in bank.t_by_action.values():
-        t = m.band(t, reach)
-        for b in nxt:
-            if m.band(m.and_exists(t, m.var(b), nxt),
-                      m.and_exists(t, m.nvar(b), nxt)) != FALSE:
-                return False
-    return True
+    return all(m.band(m.branching(t, nxt), reach) == FALSE
+               for t in bank.t_by_action.values())
 
 
 def render_inputs(st: SymbolicTrace) -> str:

@@ -6,9 +6,11 @@ position of the two diagrams' edges and locals are interleaved, so
 relations between a left and a right counter stay small. Inputs get one
 copy only (they are read-only), shared-name inputs interleaved across
 the two diagrams, and sit at the top of the order. The per-action
-transition relation is silent closure followed by one action firing;
-the closure is composed by constant substitution, which works because
-silent firings write nothing but token-bit constants.
+transition relation is silent closure followed by one action firing.
+The closure is composed once per diagram, by constant substitution, into
+a relation from a marking to the quiescent markings it settles in; that
+works because silent firings write nothing but token-bit constants, and
+it is why each action's token move and effects can follow it as they are.
 
 Guards, effects and the pairing of shared inputs are compiled bit-wise,
 never by enumerating a domain: an integer expression becomes a
@@ -296,10 +298,10 @@ def _compile_bool(m: BddManager, bank: AdBank, expr: object) -> int:
     return m.band(_bool_node(m, bank, expr, env), _domains(m, bundles))
 
 
-def _frame_tokens(m: BddManager, bank: AdBank, touched: set[str]) -> int:
-    keep = [e.id for e in bank.ad.edges if e.id not in touched]
-    return _eq(m, [m.var(bank.tok_cur[e]) for e in keep],
-               [m.var(bank.tok_next[e]) for e in keep])
+def _frame_tokens(m: BddManager, bank: AdBank) -> int:
+    """The marking stays as it is."""
+    return _eq(m, [m.var(bank.tok_cur[e.id]) for e in bank.ad.edges],
+               [m.var(bank.tok_next[e.id]) for e in bank.ad.edges])
 
 
 def _frame_locals(m: BddManager, bank: AdBank, touched: set[str]) -> int:
@@ -335,18 +337,6 @@ def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
     for t in sorted(set(targets)):
         rel = m.band(rel, _eq(m, _bundle_vec(m, bank.loc_next[t]), env[t]))
     return m.band(rel, _frame_locals(m, bank, set(targets)))
-
-
-def _action_fire(m: BddManager, bank: AdBank, node: Node) -> int:
-    e_in = bank.ad.in_edges(node.id)[0].id
-    e_out = bank.ad.out_edges(node.id)[0].id
-    cond = m.var(bank.tok_cur[e_in])
-    if e_out != e_in:
-        cond = m.band(cond, m.nvar(bank.tok_cur[e_out]))  # unsafe firings are absent
-    after = {bank.tok_next[e_in]: e_out == e_in, bank.tok_next[e_out]: True}
-    fire = m.band(cond, m.cube(after))
-    fire = m.band(fire, _frame_tokens(m, bank, {e_in, e_out}))
-    return m.band(fire, _effects_relation(m, bank, node))
 
 
 def _silent_firings(m: BddManager, bank: AdBank) -> list[tuple[int, dict[int, bool]]]:
@@ -415,6 +405,15 @@ def _compose_closure(m: BddManager, base: int,
 
 
 def _compile_bank(m: BddManager, bank: AdBank) -> None:
+    """Fill in the bank's input domain, quiescence, relations and init.
+
+    settle(s, tok') holds when silent firings lead s to a quiescent state
+    whose marking is tok'; it is composed once.  Silent firings leave the
+    locals alone, so an action's relation is settle read at the marking
+    it fires from (token on in, out free: unsafe firings are absent),
+    then the token move and its effects.  Action nodes sharing a name
+    share a relation, the union of theirs.
+    """
     ad = bank.ad
     bank.input_domain = dom = _domains(m, bank.input_bundles.values())
 
@@ -424,14 +423,19 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
         quiet = m.band(quiet, m.bnot(cond))
     bank.quiescent = quiet
 
-    fires: dict[str, int] = {}
+    settle = _compose_closure(m, m.band(quiet, _frame_tokens(m, bank)), firings)
+    rels: dict[str, int] = {}
     for n in ad.nodes:
         if n.kind != ACTION:
             continue
-        fires[n.name()] = m.bor(fires.get(n.name(), FALSE), _action_fire(m, bank, n))
+        e_in = bank.tok_next[ad.in_edges(n.id)[0].id]
+        e_out = bank.tok_next[ad.out_edges(n.id)[0].id]
+        rel = m.band(m.restrict(settle, {e_out: False, e_in: True}),
+                     m.cube({e_in: e_in == e_out, e_out: True}))
+        rel = m.band(rel, _effects_relation(m, bank, n))
+        rels[n.name()] = m.bor(rels.get(n.name(), FALSE), rel)
     nxt = bank.next_levels()
-    for name, fire in sorted(fires.items()):
-        t = _compose_closure(m, m.band(quiet, fire), firings)
+    for name, t in sorted(rels.items()):
         bank.t_by_action[name] = t
         bank.en_by_action[name] = m.exists(t, nxt)
 

@@ -61,7 +61,9 @@ class BddManager:
         self._not: dict[int, int] = {}
         self._ex: dict[tuple[int, int], int] = {}
         self._ae: dict[tuple[int, int, int], int] = {}
-        self._tables = (self._and, self._or, self._xor, self._not, self._ex, self._ae)
+        self._br: dict[tuple[int, int], int] = {}
+        self._tables = (self._and, self._or, self._xor, self._not, self._ex, self._ae,
+                        self._br)
         self._names: list[str] = []
         self._qsets: dict[tuple[int, ...], int] = {}
 
@@ -272,6 +274,34 @@ class BddManager:
                            self._and_exists(a1, b1, qid, qs))
         self._ae[key] = r
         return r
+
+    def branching(self, u: int, levels) -> int:
+        """The valuations of the other variables under which u holds for
+        at least two valuations of levels, in one memoised pass.  A
+        quantified level that a path skips is free, so below it one
+        solution makes two and the answer is exists."""
+        qid, qs = self._intern_qset(levels)
+        return self._branching(u, qid, qs, -1)
+
+    def _branching(self, u: int, qid: int, qs: tuple[int, ...], above: int) -> int:
+        # above: the level of u's parent on this path, -1 at the root
+        i = bisect_left(qs, above + 1)
+        if i < len(qs) and qs[i] < self._level[u]:
+            return self._exists(u, qid, qs)
+        if u < 2 or i == len(qs):
+            return FALSE
+        hit = self._br.get((u, qid))
+        if hit is None:
+            lvl, low, high = self._level[u], self._low[u], self._high[u]
+            r0 = self._branching(low, qid, qs, lvl)
+            r1 = self._branching(high, qid, qs, lvl)
+            if qs[i] == lvl:
+                both = self.band(self._exists(low, qid, qs), self._exists(high, qid, qs))
+                hit = self.bor(self.bor(r0, r1), both)
+            else:
+                hit = self._make(lvl, r0, r1)
+            self._br[u, qid] = hit
+        return hit
 
     # -- substitution ------------------------------------------------
 
