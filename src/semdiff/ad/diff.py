@@ -1,19 +1,22 @@
 """Semantic differencing of two activity diagrams.
 
-The engine plays a backward reachability game on the symbolic product of
-the two diagrams, restricted to the pairs some joint run reaches: the
-base set holds all such pairs where the left diagram can take an action
-the right one cannot match, and each layer adds the pairs from which the
-left diagram can force the game into the previous layer in one joint
-step.  A forward pass then splits the initial diff states into symbolic
-traces, one per action list, and a replay against the explicit token
-semantics turns each of those into a concrete, independently checked
-trace.
+The engine first computes the state pairs some joint run of the two
+diagrams reaches, then plays a backward reachability game on those pairs
+only: the base set holds the reachable pairs where the left diagram can
+take an action the right one cannot match, and each layer adds the pairs
+from which the left diagram can force the game into the previous layer
+in one joint step.  A forward pass then splits the initial diff states
+into symbolic traces, one per action list, and a replay against the
+explicit token semantics turns each of those into a concrete,
+independently checked trace.  Every joint image goes through one
+diagram's relation and then the other's, so a left and a right relation
+never meet in one BDD (the partitioned transition relation of Burch,
+Clarke and Long, 1991).
 
 The pair game computes a simulation-style difference.  It coincides
-with trace difference exactly when the right diagram is observably
-deterministic and declares no input the left one lacks; results are
-labelled accordingly.
+with trace difference when the right diagram declares no input the
+left one lacks and is observably deterministic at every state a joint
+run reaches (see trace_exact); results are labelled accordingly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
 from ..errors import InternalError
 from ..record import record as dataclass
 from ..summary import PartitionKey, SummaryEntry, SummaryReport
-from .encode import DEFAULT_BIT_BUDGET, AdBank, ProductEncoding, encode_product
+from .encode import DEFAULT_BIT_BUDGET, ProductEncoding, encode_product
 from .model import (ActivityDiagram, Configuration, ObservableStep,
                     initial_configs, observable_steps)
 
@@ -91,49 +94,47 @@ class DiffTrace:
     constraint: str
 
 
-def non_correspondence(enc: ProductEncoding) -> int:
-    """Pairs where the left diagram has an enabled action the right one
-    does not, restricted to in-range input valuations on both sides."""
+def non_correspondence(enc: ProductEncoding, reach: int) -> int:
+    """Pairs of reach, the jointly reachable pairs, where the left diagram
+    has an enabled action the right one does not.  reach holds in-range
+    input valuations only, and the game reads nothing outside it."""
     m = enc.manager
     d0 = FALSE
-    for a in enc.alphabet:
-        en1 = enc.left.en_by_action.get(a, FALSE)
-        en2 = enc.right.en_by_action.get(a, FALSE)
-        d0 = m.bor(d0, m.bdiff(en1, en2))
-    return m.band(d0, m.band(enc.left.input_domain, enc.right.input_domain))
+    for a, en1 in enc.left.en_by_action.items():
+        d0 = m.bor(d0, m.bdiff(m.band(reach, en1), enc.right.en_by_action.get(a, FALSE)))
+    return d0
 
 
-def _forward_reach(m: BddManager, start: int, relations: list[int],
-                   cur: list[int], ren: dict[int, int]) -> int:
-    """Least superset of start closed under every relation's image.  Each
-    round takes the image of the newly reached states only; rigid
-    inputs are never quantified, so they ride along unchanged."""
-    reach = frontier = start
+def _shared_moves(enc: ProductEncoding) -> list[tuple[str, int, int]]:
+    """(action, left relation, right relation) per shared action, sorted."""
+    return [(a, t1, enc.right.t_by_action[a])
+            for a, t1 in enc.left.t_by_action.items() if a in enc.right.t_by_action]
+
+
+def reachable_pairs(enc: ProductEncoding) -> int:
+    """Pairs some joint run reaches from the paired initial states
+    (shared inputs equal), moving both diagrams on one action a step.
+
+    Each image goes through the left relation, then the right one; their
+    conjunction is never built.  Each round takes the image of the newly
+    reached pairs only; inputs are never quantified, so they ride along."""
+    m = enc.manager
+    cur1, cur2 = enc.left.cur_state_levels(), enc.right.cur_state_levels()
+    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    moves = _shared_moves(enc)
+    reach = frontier = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
     while frontier != FALSE:
         img = FALSE
-        for t in relations:
-            img = m.bor(img, m.and_exists(frontier, t, cur))
+        for _, t1, t2 in moves:
+            img = m.bor(img, m.and_exists(m.and_exists(frontier, t1, cur1), t2, cur2))
         frontier = m.bdiff(m.rename(img, ren), reach)
         reach = m.bor(reach, frontier)
     return reach
 
 
-def reachable_pairs(enc: ProductEncoding) -> int:
-    """Pairs some joint run reaches from the paired initial states
-    (shared inputs equal), moving both diagrams on one action a step."""
-    m = enc.manager
-    start = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
-    joint = [m.band(t1, enc.right.t_by_action[a])
-             for a, t1 in enc.left.t_by_action.items()
-             if a in enc.right.t_by_action]
-    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
-    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
-    return _forward_reach(m, start, joint, cur, ren)
-
-
-def backward_fixpoint(enc: ProductEncoding, d0: int) -> DiffLayers:
+def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int) -> DiffLayers:
     """Least fixpoint of the one-step forcing operator over d0, played on
-    the reachable pairs only.
+    reach, the pairs reachable_pairs returns.
 
     A pair joins layer k+1 when for some action the left diagram has a
     successor, the action is enabled on the right, and every right
@@ -141,10 +142,9 @@ def backward_fixpoint(enc: ProductEncoding, d0: int) -> DiffLayers:
     and_exists pass.  Inputs have no next-state copy, so they pass
     through the step untouched.  The step at a reachable pair reads only
     that pair's successors, which are reachable too, so each layer is
-    exactly the unrestricted layer intersected with reachable_pairs.
+    exactly the unrestricted layer intersected with reach.
     """
     m = enc.manager
-    reach = reachable_pairs(enc)
     ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
     nxt1 = enc.left.next_levels()
     nxt2 = enc.right.next_levels()
@@ -211,18 +211,18 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
         # (action, image within the layer below), or at depth 0
         # (action, inputs of the divergence)
         if d == 0:
-            return [(a, project(leaf)) for a, t in diverge
-                    if (leaf := m.band(pairs, t)) != FALSE]
+            return [(a, project(leaf)) for a, en1, en2 in diverge
+                    if (leaf := m.bdiff(m.band(pairs, en1), en2)) != FALSE]
         below = layers.layers[d - 1]
-        return [(a, img) for a, t in joint
-                if (img := m.band(m.rename(m.and_exists(pairs, t, cur), ren), below)) != FALSE]
+        return [(a, img) for a, t1, t2 in moves
+                if (img := m.band(m.rename(m.and_exists(m.and_exists(pairs, t1, cur1),
+                                                        t2, cur2), ren), below)) != FALSE]
 
-    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
+    cur1, cur2 = enc.left.cur_state_levels(), enc.right.cur_state_levels()
     ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
-    diverge = [(a, m.bdiff(enc.left.en_by_action.get(a, FALSE),
-                           enc.right.en_by_action.get(a, FALSE))) for a in enc.alphabet]
-    joint = [(a, m.band(enc.left.t_by_action.get(a, FALSE),
-                        enc.right.t_by_action.get(a, FALSE))) for a in enc.alphabet]
+    diverge = [(a, en1, enc.right.en_by_action.get(a, FALSE))
+               for a, en1 in enc.left.en_by_action.items()]
+    moves = _shared_moves(enc)
     memo: dict[tuple[int, int], list[tuple[str, int]]] = {}
     init = initial_diff_states(enc, layers)
     prev = FALSE
@@ -268,33 +268,24 @@ def _input_family(enc: ProductEncoding, actions: tuple[str, ...],
                          product == node, enc.report_bundles)
 
 
-def trace_exact(enc: ProductEncoding) -> bool:
+def trace_exact(enc: ProductEncoding, reach: int) -> bool:
     """Does the pair game decide trace difference for this direction?
 
-    Yes iff the right diagram is observably deterministic and every
-    input it declares is also an input of the left one (otherwise the
-    right side could dodge divergence by picking inputs or successors
-    the pairing fixes arbitrarily).  Determinism is decided on enc, the
-    product encoding of the pair.
+    Yes when the right diagram declares no input the left one lacks and
+    is deterministic on reach: no jointly reachable pair has a right half
+    with two successors under one action (branching, one pass per
+    action).  The game decides simulation.  With every right input
+    shared, the pairing fixes the right start state, and each right
+    state along the matched prefix of a left trace is the right half of
+    a jointly reachable pair; deterministic there, the right diagram has
+    one run along the prefix at most, so simulation is trace inclusion.
+    An input only the right side declares is a choice the pairing leaves
+    open, so it keeps the answer at simulation.
     """
-    names1 = {v.name for v in enc.left.ad.inputs}
-    names2 = {v.name for v in enc.right.ad.inputs}
-    return names2 <= names1 and is_deterministic(enc.manager, enc.right)
-
-
-def is_deterministic(m: BddManager, bank: AdBank) -> bool:
-    """No reachable state of the bank's diagram has two distinct
-    successors under one action name.
-
-    Inputs are rigid, so the diagram is nondeterministic on action a iff
-    a reachable state has at least two a-successors, that is iff it lies
-    in branching(T_a, next-state levels): one pass per action.
-    """
-    nxt = bank.next_levels()
-    reach = _forward_reach(m, bank.init, list(bank.t_by_action.values()),
-                           bank.cur_state_levels(), bank.next_to_cur())
-    return all(m.band(m.branching(t, nxt), reach) == FALSE
-               for t in bank.t_by_action.values())
+    m, nxt2 = enc.manager, enc.right.next_levels()
+    return ({v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}
+            and all(m.band(m.branching(t2, nxt2), reach) == FALSE
+                    for t2 in enc.right.t_by_action.values()))
 
 
 def render_inputs(st: SymbolicTrace) -> str:
@@ -464,8 +455,9 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     """Diff traces of ad1 against ad2: divergences of ad1 the other
     diagram cannot follow, one symbolic trace per action list."""
     enc = encode_product(ad1, ad2, bit_budget=bit_budget)
-    exact = trace_exact(enc)
-    layers = backward_fixpoint(enc, non_correspondence(enc))
+    reach = reachable_pairs(enc)
+    exact = trace_exact(enc, reach)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
     traces = forward_split(enc, layers)
     lists = summarize_action_list(enc, traces, exact=exact)
     return AdDiffResult(

@@ -23,6 +23,8 @@ in-range valuations the concrete semantics accepts.
 
 from __future__ import annotations
 
+import sys
+
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
 from ..errors import LimitError
 from ..record import field, record as dataclass
@@ -30,10 +32,14 @@ from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
                     ActivityDiagram, BoolOp, IntLit, Node, Not, Var, expr_vars)
 
 DEFAULT_BIT_BUDGET = 64
+# The kernel recurses about two frames per BDD level (band and _shannon);
+# these frames stay free for the engine's callers and its own calls.
+_RESERVED_FRAMES = 100
 
 
 class BitBudgetExceededError(LimitError):
-    """One diagram's encoded state does not fit the bit budget."""
+    """One diagram's encoded state does not fit the bit budget, or the
+    pair's product is deeper than the kernel's recursion can descend."""
 
 
 def _width(lo: int, hi: int) -> int:
@@ -54,9 +60,7 @@ class AdBank:
     tok_next: dict[str, int] = field(default_factory=dict)
     loc_cur: dict[str, VarBundle] = field(default_factory=dict)
     loc_next: dict[str, VarBundle] = field(default_factory=dict)
-    input_domain: int = TRUE
     init: int = FALSE
-    quiescent: int = TRUE
     t_by_action: dict[str, int] = field(default_factory=dict)
     en_by_action: dict[str, int] = field(default_factory=dict)
 
@@ -122,6 +126,11 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     alphabet = tuple(sorted(set(ad1.action_names()) | set(ad2.action_names())))
     _allocate_inputs(m, left, right)
     _allocate_state(m, left, right)
+    depth = (sys.getrecursionlimit() - _RESERVED_FRAMES) // 2
+    if m.var_count > depth:
+        raise BitBudgetExceededError(
+            f"{ad1.name} and {ad2.name} need {m.var_count} BDD levels, "
+            f"the recursion limit allows {depth}")
 
     shared = {v.name for v in ad1.inputs} & {v.name for v in ad2.inputs}
     # left.input_bundles is filled in declaration order
@@ -405,7 +414,7 @@ def _compose_closure(m: BddManager, base: int,
 
 
 def _compile_bank(m: BddManager, bank: AdBank) -> None:
-    """Fill in the bank's input domain, quiescence, relations and init.
+    """Fill in the bank's relations and init.
 
     settle(s, tok') holds when silent firings lead s to a quiescent state
     whose marking is tok'; it is composed once.  Silent firings leave the
@@ -415,13 +424,12 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
     share a relation, the union of theirs.
     """
     ad = bank.ad
-    bank.input_domain = dom = _domains(m, bank.input_bundles.values())
+    dom = _domains(m, bank.input_bundles.values())
 
     firings = _silent_firings(m, bank)
     quiet = TRUE
     for cond, _ in firings:
         quiet = m.band(quiet, m.bnot(cond))
-    bank.quiescent = quiet
 
     settle = _compose_closure(m, m.band(quiet, _frame_tokens(m, bank)), firings)
     rels: dict[str, int] = {}

@@ -5,7 +5,7 @@ summary report (or a raw witness enumeration), `check` tests one object
 model against a class diagram.  Exit status: 0 differences found /
 instance ok, 1 no differences / not an instance, 2 usage or parse
 failure, 3 oracle mismatch under --oracle, 4 a limit was hit (the
-encoder's bit budget, or the --oracle search's state budget), 5 an
+encoder's bit budget or depth bound, the --oracle state budget), 5 an
 internal error (an engine result failed its explicit replay).  Statuses
 2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
 A process whose reader closes stdout before the output is complete (say,
@@ -239,8 +239,8 @@ def cmd_addiff(args: argparse.Namespace) -> int:
 
 def _ad_oracle_check(ad1: ActivityDiagram, ad2: ActivityDiagram, res) -> int:
     if res.semantics != "trace":
-        print("oracle cross-check skipped: simulation semantics "
-              "(right diagram nondeterministic or has private inputs)",
+        print("oracle cross-check skipped: simulation semantics (right "
+              "diagram nondeterministic on a joint run, or has private inputs)",
               file=sys.stderr)
         return 0
     oracle = ad_diff_bfs(ad1, ad2)

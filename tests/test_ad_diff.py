@@ -14,6 +14,7 @@ from semdiff.ad.diff import (
     forward_split,
     initial_diff_states,
     non_correspondence,
+    reachable_pairs,
     render_inputs,
     trace_exact,
 )
@@ -88,7 +89,8 @@ def test_layer_chain_counts_forcing_distance():
     left = chain("left", ["a", "b", "c", "d"])
     right = chain("right", ["a", "b", "c"])
     enc = encode_product(left, right)
-    layers = backward_fixpoint(enc, non_correspondence(enc))
+    reach = reachable_pairs(enc)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
     assert layers.depth() == 3
     init = initial_diff_states(enc, layers)
     m = enc.manager
@@ -112,7 +114,8 @@ def test_disjoint_alphabets_diverge_immediately():
     res = addiff(left, right)
     assert [st.actions for st in res.traces] == [("p",)]
     enc = encode_product(left, right)
-    layers = backward_fixpoint(enc, non_correspondence(enc))
+    reach = reachable_pairs(enc)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
     assert layers.depth() == 0
 
 
@@ -218,7 +221,8 @@ def nd_twin() -> ActivityDiagram:
 def test_nondeterministic_right_side_weakens_to_simulation():
     nd = nd_twin()
     single = chain("single", ["go"])
-    assert trace_exact(encode_product(single, nd)) is False
+    enc = encode_product(single, nd)
+    assert trace_exact(enc, reachable_pairs(enc)) is False
     res = addiff(single, nd)
     assert res.semantics == "simulation"
     assert not res.has_diffs
@@ -231,7 +235,8 @@ def test_nondeterministic_right_side_weakens_to_simulation():
 def test_extra_right_side_inputs_weaken_to_simulation():
     left = chain("left", ["a"])
     right = _ad(NARROW)
-    assert trace_exact(encode_product(left, right)) is False
+    enc = encode_product(left, right)
+    assert trace_exact(enc, reachable_pairs(enc)) is False
     assert addiff(left, right).semantics == "simulation"
 
 

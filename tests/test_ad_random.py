@@ -16,10 +16,12 @@ seconds (ROADMAP item 13).
 The checks: `addiff --oracle` never disagrees with the explicit
 subset-construction oracle, a self-diff and a diff against a renamed,
 shuffled copy are empty, every representative under trace semantics is
-a diff trace by the oracle's own definition, and the symbolic reach of
+a diff trace by the oracle's own definition, the symbolic reach of
 a diagram against itself holds exactly the pairs an explicit search
 finds (the oracle stops at the first divergence, so it alone misses an
-encoder that lets a firing happen that the token game blocks).
+encoder that lets a firing happen that the token game blocks), and the
+engine's one-side-at-a-time images give the reach and the traces the
+conjoined relations of `tests/test_ad_reach.py` give.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from semdiff.oracle import is_diff_trace
 from semdiff.parsing import parse_ad
 
 from test_ad_diff import bank_assignment
-from test_ad_reach import explicit_pairs
+from test_ad_reach import assert_images_match_conjoined_relations, explicit_pairs
 
 SEEDS = range(6)
 EFFECTS = ("c + 1", "c - 1", "c + 2", "c + x")
@@ -297,6 +299,12 @@ def test_symbolic_self_reach_matches_explicit_search(seed):
         for c1, c2 in pairs:
             assert m.eval_node(reach, {**bank_assignment(enc.left, c1),
                                        **bank_assignment(enc.right, c2)}), (c1, c2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_images_one_side_at_a_time_match_conjoined_relations(seed):
+    for left, right, _ in _results(seed):
+        assert_images_match_conjoined_relations(left, right)
 
 
 def test_generator_reaches_every_construct(monkeypatch):

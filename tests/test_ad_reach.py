@@ -1,18 +1,25 @@
-"""The reachable-pair restriction and the symbolic determinism check,
-cross-checked against the unrestricted game and the explicit semantics."""
+"""The reachable-pair restriction and the determinism check on it,
+cross-checked against the unrestricted game, the conjoined relations the
+engine no longer builds, and the explicit semantics."""
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import deque
 
+import pytest
+
+from semdiff import cli
 from semdiff.ad import model, validate_ad
-from semdiff.ad.diff import (addiff, backward_fixpoint, is_deterministic,
-                             non_correspondence, reachable_pairs)
+from semdiff.ad.diff import (DiffLayers, addiff, backward_fixpoint, forward_split,
+                             initial_diff_states, non_correspondence,
+                             reachable_pairs, trace_exact)
 from semdiff.ad.encode import ProductEncoding, encode_product
-from semdiff.ad.model import (ActivityDiagram, Node, initial_configs,
-                              observable_steps)
+from semdiff.ad.model import (ActivityDiagram, Cmp, Edge, IntLit, Node, Var,
+                              VarDecl, initial_configs, observable_steps)
 from semdiff.bdd import FALSE
+from semdiff.oracle import is_diff_trace
 from semdiff.parsing import parse_ad
 
 from explicit import is_observably_deterministic
@@ -21,6 +28,92 @@ from test_ad_diff import chain, nd_twin
 
 def _ad(text: str) -> ActivityDiagram:
     return validate_ad(parse_ad(text))
+
+
+def full_non_correspondence(enc: ProductEncoding) -> int:
+    """Every pair, reachable or not, where the left diagram has an enabled
+    action the right one does not, over in-range inputs on both sides."""
+    m = enc.manager
+    d0 = FALSE
+    for a in enc.alphabet:
+        d0 = m.bor(d0, m.bdiff(enc.left.en_by_action.get(a, FALSE),
+                               enc.right.en_by_action.get(a, FALSE)))
+    for bank in (enc.left, enc.right):
+        for b in bank.input_bundles.values():
+            d0 = m.band(d0, m.domain_cube(b))
+    return d0
+
+
+def conjoined_reach(enc: ProductEncoding) -> int:
+    """reachable_pairs by the construction it replaced: one conjoined
+    relation band(t1, t2) per shared action, imaged over both diagrams'
+    current-state levels at once."""
+    m = enc.manager
+    joint = [m.band(t1, enc.right.t_by_action[a])
+             for a, t1 in enc.left.t_by_action.items() if a in enc.right.t_by_action]
+    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
+    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    reach = frontier = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
+    while frontier != FALSE:
+        img = FALSE
+        for t in joint:
+            img = m.bor(img, m.and_exists(frontier, t, cur))
+        frontier = m.bdiff(m.rename(img, ren), reach)
+        reach = m.bor(reach, frontier)
+    return reach
+
+
+def conjoined_split(enc: ProductEncoding,
+                    layers: DiffLayers) -> list[tuple[tuple[str, ...], int]]:
+    """(action list, initial inputs) per symbolic trace, as forward_split
+    finds them, by a plain recursive descent through the conjoined
+    relations and the full divergence sets bdiff(en1, en2)."""
+    m = enc.manager
+    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
+    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    t = {a: m.band(enc.left.t_by_action.get(a, FALSE), enc.right.t_by_action.get(a, FALSE))
+         for a in enc.alphabet}
+    diverge = {a: m.bdiff(enc.left.en_by_action.get(a, FALSE),
+                          enc.right.en_by_action.get(a, FALSE)) for a in enc.alphabet}
+    found: dict[tuple[str, ...], int] = {}
+
+    def emit(actions: tuple[str, ...], leaf: int) -> None:
+        inputs = m.exists(leaf, [lvl for lvl in m.support(leaf)
+                                 if lvl not in enc.report_levels])
+        found[actions] = m.bor(found.get(actions, FALSE), inputs)
+
+    def descend(pairs: int, d: int, prefix: tuple[str, ...]) -> None:
+        for a in enc.alphabet:
+            if d == 0:
+                if (leaf := m.band(pairs, diverge[a])) != FALSE:
+                    emit(prefix + (a,), leaf)
+            elif (img := m.band(m.rename(m.and_exists(pairs, t[a], cur), ren),
+                                layers.layers[d - 1])) != FALSE:
+                descend(img, d - 1, prefix + (a,))
+
+    init = initial_diff_states(enc, layers)
+    for d, layer in enumerate(layers.layers):
+        below = layers.layers[d - 1] if d else FALSE
+        if (group := m.band(init, m.bdiff(layer, below))) != FALSE:
+            descend(group, d, ())
+    matched = m.exists(m.band(enc.right.init, enc.input_match),
+                       enc.right.cur_state_levels() + enc.right.input_levels())
+    for a, en1 in enc.left.en_by_action.items():
+        if (leaf := m.band(m.bdiff(enc.left.init, matched), en1)) != FALSE:
+            emit((a,), leaf)
+    return sorted(found.items())
+
+
+def assert_images_match_conjoined_relations(left: ActivityDiagram,
+                                            right: ActivityDiagram) -> None:
+    """reachable_pairs is conjoined_reach node for node in one manager, and
+    forward_split finds the traces conjoined_split does."""
+    enc = encode_product(left, right)
+    reach = reachable_pairs(enc)
+    assert reach == conjoined_reach(enc), (left.name, right.name)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    got = [(st.actions, st.init_inputs.node) for st in forward_split(enc, layers)]
+    assert got == conjoined_split(enc, layers), (left.name, right.name)
 
 
 def unrestricted_layers(enc: ProductEncoding, d0: int) -> list[int]:
@@ -79,8 +172,9 @@ def test_restricted_layers_are_unrestricted_layers_within_reach(ad_v1, ad_v2, ad
         enc = encode_product(left, right)
         m = enc.manager
         reach = reachable_pairs(enc)
-        d0 = non_correspondence(enc)
-        restricted = list(backward_fixpoint(enc, d0).layers)
+        d0 = full_non_correspondence(enc)
+        assert non_correspondence(enc, reach) == m.band(d0, reach)
+        restricted = list(backward_fixpoint(enc, non_correspondence(enc, reach), reach).layers)
         full = unrestricted_layers(enc, d0)
         assert len(restricted) <= len(full)
         for k, layer in enumerate(full):
@@ -96,6 +190,11 @@ def test_reachable_pairs_match_explicit_joint_runs(ad_v1, ad_v2, ad_v3):
                   for lvl in bank.cur_state_levels() + bank.input_levels()]
         got = enc.manager.count_sat(reachable_pairs(enc), levels)
         assert got == explicit_pair_count(left, right), (left.name, right.name)
+
+
+def test_images_one_side_at_a_time_match_conjoined_relations(ad_v1, ad_v2, ad_v3):
+    for left, right in fixture_pairs(ad_v1, ad_v2, ad_v3):
+        assert_images_match_conjoined_relations(left, right)
 
 
 # -- symbolic determinism -------------------------------------------------------
@@ -172,16 +271,111 @@ def test_addiff_builds_no_explicit_transition_system(monkeypatch, ad_v1, ad_v2):
         assert addiff(left, right).semantics == "trace"
 
 
+def explicitly_exact(ad1: ActivityDiagram, ad2: ActivityDiagram) -> bool:
+    """trace_exact read off the explicit joint pairs: ad2 declares no input
+    ad1 lacks, and the right half of no jointly reachable pair has two
+    successors under one action."""
+    if not {v.name for v in ad2.inputs} <= {v.name for v in ad1.inputs}:
+        return False
+    for _, c2 in explicit_pairs(ad1, ad2):
+        successors: dict[str, set] = {}
+        for s in observable_steps(ad2, c2):
+            successors.setdefault(s.action, set()).add(s.successor)
+        if any(len(v) > 1 for v in successors.values()):
+            return False
+    return True
+
+
+LOW_INPUT = """activitydiagram low {
+  input x : 0..2;
+  initial i; action a1; final f;
+  edge i -> a1; edge a1 -> f;
+}"""
+
+
 def test_symbolic_determinism_matches_explicit_check(ad_v1, ad_v2, ad_v3):
+    selves = determinism_cases(ad_v1, ad_v2, ad_v3)
+    cases = [(ad, ad) for ad in selves]
+    fork, overlap = _ad(FORK), _ad(OVERLAPPING_GUARDS)
+    fork_nd, overlap_nd = renamed_actions(fork, {"a2": "a1"}), renamed_actions(overlap, {"a2": "a1"})
+    cases += [
+        (_ad(LOW_INPUT), overlap_nd),       # x stays below the overlap of the guards
+        (chain("single", ["a1"]), overlap),  # x is the right side's own input
+        (fork, fork_nd),                     # nondeterministic at the start pair
+    ]
     verdicts = []
-    for ad in determinism_cases(ad_v1, ad_v2, ad_v3):
-        enc = encode_product(ad, ad)
-        verdict = is_deterministic(enc.manager, enc.right)
-        assert verdict == is_observably_deterministic(ad), ad.name
+    for left, right in cases:
+        enc = encode_product(left, right)
+        verdict = trace_exact(enc, reachable_pairs(enc))
+        assert verdict == explicitly_exact(left, right), (left.name, right.name)
         verdicts.append(verdict)
-    # both answers occur, including a nondeterminism no run reaches
+    # against itself a diagram reaches jointly what it reaches alone
+    assert verdicts[:len(selves)] == [is_observably_deterministic(ad) for ad in selves]
+    # both answers occur, including a nondeterminism no run reaches and one
+    # that only the other diagram's runs keep out of reach
     assert verdicts == [True, True, True, True, False, False, True, False, True,
-                        True, True, True]
+                        True, True, True, True, False, False]
+    assert not is_observably_deterministic(overlap_nd)
+
+
+def api_ad(name: str, x_hi: int, nodes: list[tuple], edges: list[tuple]) -> ActivityDiagram:
+    """A diagram over one input x in 0..x_hi, built through the Python API
+    from Node and Edge argument tuples (edge ids are numbered)."""
+    return validate_ad(ActivityDiagram(
+        name, (VarDecl("x", 0, x_hi),), (), tuple(Node(*n) for n in nodes),
+        tuple(Edge(f"e{i}", *e) for i, e in enumerate(edges))))
+
+
+def hidden_nondeterminism_pair(seed: int) -> tuple[ActivityDiagram, ActivityDiagram]:
+    """A seeded pair whose right diagram has two action nodes named `go`
+    behind a decision branch, x >= t, that no joint run takes.
+
+    The left diagram is a chain of actions.  The right one runs the same
+    chain for x < t, with its last action renamed or dropped, so the pair
+    differs.  For x >= t it reaches the `go` fork either directly, the
+    left diagram's input range then ending below t, or through an action
+    `z` the left diagram never takes."""
+    rng = random.Random(f"hidden:{seed}")
+    hi = rng.randint(3, 7)
+    t = rng.randint(2, hi)
+    names = rng.sample("abcgh", rng.randint(2, 4))
+    by_range = rng.random() < 0.5
+    kept = names[:-1] + ([rng.choice("pq")] if rng.random() < 0.5 else [])
+    gate = [] if by_range else ["z"]
+    left = api_ad(f"left{seed}", t - 1 if by_range else hi,
+                  [("i", "initial"), *((a, "action") for a in names), ("f", "final")],
+                  list(zip(["i", *names], [*names, "f"])))
+    right = api_ad(
+        f"right{seed}", hi,
+        [("i", "initial"), ("d", "decision"), *((a, "action") for a in kept + gate),
+         ("k", "fork"), ("go1", "action", "go"), ("go2", "action", "go"),
+         ("j", "join"), ("f", "final")],
+        [("i", "d"), ("d", kept[0], Cmp("<", Var("x"), IntLit(t))),
+         *zip(kept, kept[1:]), (kept[-1], "f"),
+         ("d", (gate + ["k"])[0], Cmp(">=", Var("x"), IntLit(t))), *((g, "k") for g in gate),
+         ("k", "go1"), ("k", "go2"), ("go1", "j"), ("go2", "j"), ("j", "f")])
+    return left, right
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nondeterminism_no_joint_run_reaches_keeps_trace_semantics(seed, monkeypatch, capsys):
+    left, right = hidden_nondeterminism_pair(seed)
+    # the right diagram alone is nondeterministic, under `go`
+    assert not is_observably_deterministic(right)
+    models = {"L": left, "R": right}
+    monkeypatch.setattr(cli, "_load", lambda path, want: models[path])
+    for a, b in (("L", "R"), ("R", "L")):
+        res = addiff(models[a], models[b])
+        assert res.semantics == "trace"
+        assert res.has_diffs or a == "R"
+        assert cli.main(["addiff", a, b, "--oracle"]) == (0 if res.has_diffs else 1)
+        out, err = capsys.readouterr()
+        assert "(trace semantics)" in out.splitlines()[0]
+        assert err.startswith("oracle agreement"), err
+        for e in res.action_lists.entries:
+            rep = e.representative
+            assert is_diff_trace(models[a], models[b], dict(rep.valuation), rep.actions), e.key
+        assert_images_match_conjoined_relations(models[a], models[b])
 
 
 # -- long traces ------------------------------------------------------------------

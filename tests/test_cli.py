@@ -308,6 +308,37 @@ def test_bit_budget_exits_4_without_traceback(tmp_path):
         "error: limit reached: huge needs 72 state bits, budget is 64"]
 
 
+def test_product_deeper_than_the_recursion_limit_exits_4(capsys, tmp_path):
+    def chains(n: int) -> list[str]:
+        # two chains of n actions: 2 (n + 1) BDD levels each, a current
+        # and a next-state bit per edge
+        paths = []
+        for last in ("stop", "halt"):
+            acts = [f"a{i}" for i in range(n - 1)] + [last]
+            hops = " ".join(f"edge {a} -> {b};" for a, b in zip(["i", *acts], [*acts, "f"]))
+            path = tmp_path / f"{last}{n}.ad"
+            path.write_text(f"activitydiagram {last} {{ initial i; "
+                            + "".join(f"action {a}; " for a in acts) + f"final f; {hops} }}")
+            paths.append(str(path))
+        return paths
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        code, out, err = run(capsys, "addiff", *chains(40))
+        assert (code, out) == (4, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: limit reached: stop and halt need 164 BDD levels, "
+                               "the recursion limit allows ")
+        # the deepest product the limit allows runs to the end
+        n = int(line.rsplit(" ", 1)[1]) // 4 - 1
+        code, out, err = run(capsys, "addiff", *chains(n))
+    finally:
+        sys.setrecursionlimit(old)
+    assert (code, err) == (0, "")
+    assert out.startswith("addiff stop vs halt (trace semantics): 1 difference class(es)")
+
+
 def test_oracle_state_budget_exits_4(capsys, monkeypatch):
     def exhausted(ad1, ad2):
         raise StateBudgetExceededError("state budget exceeded")
