@@ -15,8 +15,9 @@ Clarke and Long, 1991).
 
 The pair game computes a simulation-style difference.  It coincides
 with trace difference when the right diagram declares no input the
-left one lacks and is observably deterministic at every state a joint
-run reaches (see trace_exact); results are labelled accordingly.
+left one lacks and is observably deterministic, under the actions both
+diagrams take, at every state a joint run reaches (see trace_exact);
+results are labelled accordingly.
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
             else:
                 stack.extend((img, d - 1, prefix + (a,)) for a, img in reversed(children))
 
+    # an input both diagrams declare alike has one bundle, which this
+    # quantifies too; harmless, as every left value of it is in the
+    # right's range as well
     matched = m.exists(m.band(enc.right.init, enc.input_match),
                        enc.right.cur_state_levels() + enc.right.input_levels())
     unmatched = m.band(enc.left.init, m.bnot(matched))
@@ -272,20 +276,22 @@ def trace_exact(enc: ProductEncoding, reach: int) -> bool:
     """Does the pair game decide trace difference for this direction?
 
     Yes when the right diagram declares no input the left one lacks and
-    is deterministic on reach: no jointly reachable pair has a right half
-    with two successors under one action (branching, one pass per
-    action).  The game decides simulation.  With every right input
-    shared, the pairing fixes the right start state, and each right
-    state along the matched prefix of a left trace is the right half of
-    a jointly reachable pair; deterministic there, the right diagram has
-    one run along the prefix at most, so simulation is trace inclusion.
-    An input only the right side declares is a choice the pairing leaves
-    open, so it keeps the answer at simulation.
+    is deterministic on reach under the shared actions: no jointly
+    reachable pair has a right half with two successors under one action
+    both diagrams take (branching, one pass per action).  The game
+    decides simulation.  With every right input shared, the pairing
+    fixes the right start state, and each right state along the matched
+    prefix of a left trace is the right half of a jointly reachable
+    pair; a right run matching that prefix takes only left actions, so
+    with one successor under each, the right diagram has one run along
+    the prefix at most, and simulation is trace inclusion.  An input
+    only the right side declares is a choice the pairing leaves open, so
+    it keeps the answer at simulation.
     """
     m, nxt2 = enc.manager, enc.right.next_levels()
     return ({v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}
             and all(m.band(m.branching(t2, nxt2), reach) == FALSE
-                    for t2 in enc.right.t_by_action.values()))
+                    for _, _, t2 in _shared_moves(enc)))
 
 
 def render_inputs(st: SymbolicTrace) -> str:

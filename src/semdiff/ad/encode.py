@@ -4,9 +4,12 @@ State bits per diagram: one token bit per edge plus a binary bundle per
 local variable, each with an adjacent next-state copy; bits at the same
 position of the two diagrams' edges and locals are interleaved, so
 relations between a left and a right counter stay small. Inputs get one
-copy only (they are read-only), shared-name inputs interleaved across
-the two diagrams, and sit at the top of the order. The per-action
-transition relation is silent closure followed by one action firing.
+copy only (they are read-only) and sit at the top of the order.  An
+input both diagrams declare with the same name and range is one bundle
+that both diagrams read; a shared name whose ranges differ gets one
+bundle per diagram, interleaved bit by bit and paired by value.  The
+per-action transition relation is silent closure followed by one action
+firing.
 The closure is composed once per diagram, by constant substitution, into
 a relation from a marking to the quiescent markings it settles in; that
 works because silent firings write nothing but token-bit constants, and
@@ -146,6 +149,9 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
 
 
 def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
+    # An input declared alike on both sides is one bundle both banks
+    # read; a shared name whose ranges differ gets a bundle per side, the
+    # two interleaved bit by bit and paired by value in _input_match.
     ad1, ad2 = left.ad, right.ad
     names2 = {v.name: v for v in ad2.inputs}
     done2: set[str] = set()
@@ -155,18 +161,19 @@ def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
 
     for v1 in ad1.inputs:
         v2 = names2.get(v1.name)
+        alike = v2 is not None and (v2.lo, v2.hi) == (v1.lo, v1.hi)
         w1 = _width(v1.lo, v1.hi)
-        w2 = _width(v2.lo, v2.hi) if v2 else 0
+        w2 = _width(v2.lo, v2.hi) if v2 and not alike else 0
         bits1: list[int] = []
         bits2: list[int] = []
-        for j in range(max(w1, w2)):  # interleave shared inputs bit by bit
+        for j in range(max(w1, w2)):
             if j < w1:
                 bits1.append(m.new_var(f"{ad1.name}.{v1.name}.{j}"))
             if j < w2:
                 bits2.append(m.new_var(f"{ad2.name}.{v1.name}.{j}"))
         alloc(left, v1, bits1)
         if v2:
-            alloc(right, v2, bits2)
+            alloc(right, v2, bits1 if alike else bits2)
             done2.add(v1.name)
     for v2 in ad2.inputs:
         if v2.name in done2:
@@ -294,6 +301,9 @@ def _input_match(m: BddManager, left: AdBank, right: AdBank, shared: set[str]) -
     eq = TRUE
     for name in sorted(shared):
         b1, b2 = left.input_bundles[name], right.input_bundles[name]
+        if b1 == b2:  # declared alike: one bundle, in range
+            eq = m.band(eq, m.domain_cube(b1))
+            continue
         agree = _eq(m, _bundle_vec(m, b1), _bundle_vec(m, b2))
         eq = m.band(eq, m.band(agree, _domains(m, (b1, b2))))
     return eq

@@ -66,6 +66,11 @@ class BddManager:
                         self._br)
         self._names: list[str] = []
         self._qsets: dict[tuple[int, ...], int] = {}
+        # Arguments already checked, so a repeated one costs one lookup.
+        # Levels are never freed, so a checked argument stays valid; one
+        # with a bad level is never stored and raises on every call.
+        self._qargs: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+        self._checked_maps: set[tuple[tuple[int, int], ...]] = set()
 
     # -- variables ---------------------------------------------------
 
@@ -208,14 +213,14 @@ class BddManager:
     # -- quantification ----------------------------------------------
 
     def _intern_qset(self, levels) -> tuple[int, tuple[int, ...]]:
-        qs = tuple(sorted(set(self._as_levels(levels))))
-        for lvl in qs:
-            self._check_level(lvl)
-        qid = self._qsets.get(qs)
-        if qid is None:
-            qid = len(self._qsets)
-            self._qsets[qs] = qid
-        return qid, qs
+        key = tuple(levels)
+        hit = self._qargs.get(key)
+        if hit is None:
+            qs = tuple(sorted(set(self._as_levels(key))))
+            for lvl in qs:
+                self._check_level(lvl)
+            hit = self._qargs[key] = (self._qsets.setdefault(qs, len(self._qsets)), qs)
+        return hit
 
     def exists(self, u: int, levels) -> int:
         qid, qs = self._intern_qset(levels)
@@ -309,9 +314,12 @@ class BddManager:
         """u with every level `old` read as level mapping[old]: one pass
         through _make while each node stays above its rebuilt children,
         else (say, a swap of adjacent banks) a rebuild with ite."""
-        for old, new in mapping.items():
-            self._check_level(old)
-            self._check_level(new)
+        key = tuple(mapping.items())
+        if key not in self._checked_maps:
+            for old, new in key:
+                self._check_level(old)
+                self._check_level(new)
+            self._checked_maps.add(key)
         try:
             return self._rename_ordered(u, mapping, {})
         except _OrderBroken:

@@ -9,6 +9,11 @@ a merge (which queues the branch tokens behind each other).  Input and
 counter ranges may be negative.  The right diagram is a mutated copy:
 two actions swap names, a threshold or loop bound moves, a fork changes
 its closing node, an effect changes, or an action is dropped or renamed.
+About half the copies also redeclare the input `x` with a range that is
+shifted, narrower, wider or disjoint.  The encoder gives an input both
+diagrams declare alike one set of BDD levels, so only a redeclared pair
+exercises the other encoding (a bundle per diagram, paired by value)
+and the left valuations no right start state can pair with.
 Blocks do not nest deeper than one level of plain actions: with deeper
 nesting, some pairs of about 15 edges already take the symbolic engine
 seconds (ROADMAP item 13).
@@ -162,6 +167,20 @@ def _valid(blocks: tuple) -> bool:
     return bool(blocks) and all(b[0] != "fork" or all(b[2]) for b in _walk(blocks))
 
 
+def _redeclared(rng: random.Random, x: tuple[int, int]) -> tuple[int, int]:
+    """Another range for the input: shifted, narrower, wider or disjoint."""
+    lo, hi = x
+    how = rng.choice(("shift", "narrow", "widen", "disjoint"))
+    if how == "shift":
+        step = rng.choice((-2, -1, 1, 2))
+        return lo + step, hi + step
+    if how == "narrow":
+        return (lo + 1, hi) if rng.random() < 0.5 else (lo, hi - 1)
+    if how == "widen":
+        return lo - rng.randint(0, 1), hi + rng.randint(1, 2)
+    return hi + 1, 2 * hi + 1 - lo
+
+
 def random_pair(seed: int) -> tuple[dict, dict]:
     rng = random.Random(seed)
     while True:
@@ -170,7 +189,8 @@ def random_pair(seed: int) -> tuple[dict, dict]:
         for _ in range(rng.randint(1, 2)):
             blocks = _mutate(rng, blocks)
         if blocks != spec["blocks"] and _valid(spec["blocks"]) and _valid(blocks):
-            return spec, dict(spec, blocks=blocks)
+            x = _redeclared(rng, spec["x"]) if rng.random() < 0.5 else spec["x"]
+            return spec, dict(spec, blocks=blocks, x=x)
 
 
 def render(name: str, spec: dict, shuffle: random.Random | None = None) -> str:
@@ -309,9 +329,10 @@ def test_images_one_side_at_a_time_match_conjoined_relations(seed):
 
 def test_generator_reaches_every_construct(monkeypatch):
     """Across the seeds: every block kind, decisions on the input and on
-    the counter, more than one guard form, negative ranges, differences
-    under trace semantics, and explicit firings blocked by a range and by
-    an occupied edge."""
+    the counter, more than one guard form, negative ranges, inputs both
+    declared alike and redeclared with left values the right range lacks,
+    differences under trace semantics, and explicit firings blocked by a
+    range and by an occupied edge."""
     blocked = {"range": 0, "token": 0}
     apply_effects, move = model._apply_effects, model._move
 
@@ -337,10 +358,14 @@ def test_generator_reaches_every_construct(monkeypatch):
                 seen |= {b[1]} if b[0] == "fork" else {b[0]}
                 seen |= {f"dec-{b[1]}", b[3]} if b[0] == "dec" else set()
             seen |= {"negative"} if min(spec["x"] + spec["c"]) < 0 else set()
+        (lo1, hi1), (lo2, hi2) = (spec["x"] for spec in random_pair(seed))
+        seen |= {"x-alike"} if (lo1, hi1) == (lo2, hi2) else {"x-redeclared"}
+        seen |= {"x-unpaired"} if lo1 < lo2 or hi1 > hi2 else set()
         for left, _, res in _results(seed):
             trace_diffs += res.has_diffs and res.semantics == "trace"
             model.build_explicit_ts(left)
     assert seen >= {"act", "loop", "join", "merge", "dec-x", "dec-c", "split",
-                    "negative"} and seen & {"overlap", "gap"}
+                    "negative", "x-alike", "x-redeclared", "x-unpaired"} \
+        and seen & {"overlap", "gap"}
     assert trace_diffs
     assert blocked["range"] and blocked["token"], blocked

@@ -19,10 +19,11 @@ from semdiff.ad.encode import ProductEncoding, encode_product
 from semdiff.ad.model import (ActivityDiagram, Cmp, Edge, IntLit, Node, Var,
                               VarDecl, initial_configs, observable_steps)
 from semdiff.bdd import FALSE
-from semdiff.oracle import is_diff_trace
+from semdiff.oracle import ad_diff_bfs, is_diff_trace
 from semdiff.parsing import parse_ad
 
 from explicit import is_observably_deterministic
+from test_ad_compile import ref_input_match
 from test_ad_diff import chain, nd_twin
 
 
@@ -274,13 +275,15 @@ def test_addiff_builds_no_explicit_transition_system(monkeypatch, ad_v1, ad_v2):
 def explicitly_exact(ad1: ActivityDiagram, ad2: ActivityDiagram) -> bool:
     """trace_exact read off the explicit joint pairs: ad2 declares no input
     ad1 lacks, and the right half of no jointly reachable pair has two
-    successors under one action."""
+    successors under one action both diagrams take."""
     if not {v.name for v in ad2.inputs} <= {v.name for v in ad1.inputs}:
         return False
+    shared = set(ad1.action_names()) & set(ad2.action_names())
     for _, c2 in explicit_pairs(ad1, ad2):
         successors: dict[str, set] = {}
         for s in observable_steps(ad2, c2):
-            successors.setdefault(s.action, set()).add(s.successor)
+            if s.action in shared:
+                successors.setdefault(s.action, set()).add(s.successor)
         if any(len(v) > 1 for v in successors.values()):
             return False
     return True
@@ -357,25 +360,108 @@ def hidden_nondeterminism_pair(seed: int) -> tuple[ActivityDiagram, ActivityDiag
     return left, right
 
 
+def assert_oracle_agrees(models: dict[str, ActivityDiagram], a: str, b: str,
+                         monkeypatch, capsys) -> None:
+    """`addiff a b --oracle` runs the oracle and agrees with it, and every
+    representative is a diff trace by the oracle's own definition."""
+    monkeypatch.setattr(cli, "_load", lambda path, want: models[path])
+    res = addiff(models[a], models[b])
+    assert res.semantics == "trace"
+    assert cli.main(["addiff", a, b, "--oracle"]) == (0 if res.has_diffs else 1)
+    out, err = capsys.readouterr()
+    assert "(trace semantics)" in out.splitlines()[0]
+    assert err.startswith("oracle agreement"), err
+    for e in res.action_lists.entries:
+        rep = e.representative
+        assert is_diff_trace(models[a], models[b], dict(rep.valuation), rep.actions), e.key
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_nondeterminism_no_joint_run_reaches_keeps_trace_semantics(seed, monkeypatch, capsys):
     left, right = hidden_nondeterminism_pair(seed)
     # the right diagram alone is nondeterministic, under `go`
     assert not is_observably_deterministic(right)
     models = {"L": left, "R": right}
-    monkeypatch.setattr(cli, "_load", lambda path, want: models[path])
     for a, b in (("L", "R"), ("R", "L")):
-        res = addiff(models[a], models[b])
-        assert res.semantics == "trace"
-        assert res.has_diffs or a == "R"
-        assert cli.main(["addiff", a, b, "--oracle"]) == (0 if res.has_diffs else 1)
-        out, err = capsys.readouterr()
-        assert "(trace semantics)" in out.splitlines()[0]
-        assert err.startswith("oracle agreement"), err
-        for e in res.action_lists.entries:
-            rep = e.representative
-            assert is_diff_trace(models[a], models[b], dict(rep.valuation), rep.actions), e.key
+        assert addiff(models[a], models[b]).has_diffs or a == "R"
+        assert_oracle_agrees(models, a, b, monkeypatch, capsys)
         assert_images_match_conjoined_relations(models[a], models[b])
+
+
+def test_nondeterminism_under_an_action_the_left_never_takes_keeps_trace_semantics(
+        monkeypatch, capsys):
+    left = api_ad("left", 1, [("i", "initial"), ("a", "action"), ("c", "action"),
+                              ("f", "final")],
+                  [("i", "a"), ("a", "c"), ("c", "f")])
+    right = api_ad("right", 1, [("i", "initial"), ("a", "action"), ("k", "fork"),
+                                ("b", "action"), ("z1", "action", "z"), ("z2", "action", "z"),
+                                ("j", "join"), ("f", "final")],
+                   [("i", "a"), ("a", "k"), ("k", "b"), ("k", "z1"), ("k", "z2"),
+                    ("b", "j"), ("z1", "j"), ("z2", "j"), ("j", "f")])
+    # after `a`, both `z` nodes hold a token: two successors under z
+    assert not is_observably_deterministic(right)
+    enc = encode_product(left, right)
+    assert trace_exact(enc, reachable_pairs(enc)) == explicitly_exact(left, right) is True
+    assert sorted(ad_diff_bfs(left, right).ql) == [("a", "c")]
+    res = addiff(left, right)
+    assert [st.actions for st in res.traces] == [("a", "c")]
+    assert_oracle_agrees({"L": left, "R": right}, "L", "R", monkeypatch, capsys)
+
+
+# -- input allocation ----------------------------------------------------------
+
+
+def with_input_range(ad: ActivityDiagram, lo: int, hi: int) -> ActivityDiagram:
+    """ad with its one input redeclared over lo..hi."""
+    (v,) = ad.inputs
+    return validate_ad(ActivityDiagram(f"{ad.name}_{lo}_{hi}".replace("-", "m"),
+                                       (VarDecl(v.name, lo, hi),), ad.locals,
+                                       ad.nodes, ad.edges))
+
+
+# shifted, narrower, wider and disjoint against the fixtures' tickets : 0..15
+REDECLARED = ((2, 17), (0, 9), (-3, 20), (16, 23))
+
+
+def state_level_count(enc: ProductEncoding) -> int:
+    return sum(len(bank.cur_state_levels() + bank.next_levels())
+               for bank in (enc.left, enc.right))
+
+
+def test_input_declared_alike_has_one_set_of_levels(ad_v1, ad_v2, ad_v3):
+    for left, right in fixture_pairs(ad_v1, ad_v2, ad_v3):
+        enc = encode_product(left, right)
+        m = enc.manager
+        (b,) = enc.left.input_bundles.values()
+        assert enc.right.input_bundles == {"tickets": b}
+        # one level per input bit, at the top of the order
+        assert enc.left.input_levels() == enc.right.input_levels() == list(range(b.nbits))
+        assert m.var_count == b.nbits + state_level_count(enc)
+        assert enc.input_match == m.domain_cube(b)
+        assert enc.report_bundles == (b,)
+
+
+def test_input_declared_with_another_range_keeps_two_bundles(ad_v1, ad_v2):
+    for lo, hi in REDECLARED:
+        other = with_input_range(ad_v2, lo, hi)
+        for left, right in ((ad_v1, other), (other, ad_v1)):
+            enc = encode_product(left, right)
+            b1, b2 = enc.left.input_bundles["tickets"], enc.right.input_bundles["tickets"]
+            assert set(b1.levels).isdisjoint(b2.levels)
+            assert enc.manager.var_count == b1.nbits + b2.nbits + state_level_count(enc)
+            assert enc.input_match == ref_input_match(enc.manager, enc.left, enc.right,
+                                                      {"tickets"})
+            assert enc.report_bundles == (b1,)
+
+
+def test_redeclared_input_ranges_agree_with_the_oracle(ad_v1, ad_v2, monkeypatch, capsys):
+    for lo, hi in REDECLARED:
+        models = {"L": ad_v1, "R": with_input_range(ad_v2, lo, hi)}
+        for a, b in (("L", "R"), ("R", "L")):
+            assert_oracle_agrees(models, a, b, monkeypatch, capsys)
+        if (lo, hi) == (16, 23):
+            # no left valuation pairs: each diverges on its first action
+            assert [st.actions for st in addiff(ad_v1, models["R"]).traces] == [("register",)]
 
 
 # -- long traces ------------------------------------------------------------------
