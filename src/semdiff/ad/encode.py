@@ -7,13 +7,15 @@ relations between a left and a right counter stay small. Inputs get one
 copy only (they are read-only) and sit at the top of the order.  An
 input both diagrams declare with the same name and range is one bundle
 that both diagrams read; a shared name whose ranges differ gets one
-bundle per diagram, interleaved bit by bit and paired by value.  The
-per-action transition relation is silent closure followed by one action
-firing.
-The closure is composed once per diagram, by constant substitution, into
-a relation from a marking to the quiescent markings it settles in; that
-works because silent firings write nothing but token-bit constants, and
-it is why each action's token move and effects can follow it as they are.
+bundle per diagram, interleaved bit by bit and paired by value.
+
+The relations are compiled from the diagram's net, the transitions the
+explicit game fires.  An action's relation is silent closure followed
+by one of its transitions.  The closure is composed once per diagram, by
+constant substitution, into a relation from a marking to the quiescent
+markings it settles in; that works because silent transitions write
+nothing but token-bit constants, and it is why each action's token move
+and effects can follow it as they are.
 
 Guards, effects and the pairing of shared inputs are compiled bit-wise,
 never by enumerating a domain: an integer expression becomes a
@@ -31,8 +33,8 @@ import sys
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
 from ..errors import LimitError
 from ..record import field, record as dataclass
-from .model import (ACTION, DECISION, FINAL, FORK, INITIAL, JOIN, MERGE,
-                    ActivityDiagram, BoolOp, IntLit, Node, Not, Var, expr_vars)
+from .model import (ActivityDiagram, BoolOp, IntLit, Node, Not, Transition, Var,
+                    expr_vars)
 
 DEFAULT_BIT_BUDGET = 64
 # The kernel recurses about two frames per BDD level (band and _shannon);
@@ -358,52 +360,24 @@ def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
     return m.band(rel, _frame_locals(m, bank, set(targets)))
 
 
+def _marks(bits: dict[str, int], t: Transition) -> tuple[dict[int, bool], dict[int, bool]]:
+    """The token bits t touches, as t needs them and as it leaves them:
+    pre set and post - pre clear before, pre cleared then post set after."""
+    touched = t.pre | t.post
+    return ({bits[e]: e in t.pre for e in touched},
+            {bits[e]: e in t.post for e in touched})
+
+
 def _silent_firings(m: BddManager, bank: AdBank) -> list[tuple[int, dict[int, bool]]]:
     """(enabling condition over current bits, token-bit writes) per
-    silent firing, mirroring the explicit game rule for rule."""
-    ad = bank.ad
+    silent transition of the diagram's net: the touched bits as the
+    transition needs them, and its compiled guard."""
     out: list[tuple[int, dict[int, bool]]] = []
-
-    def writes(consume: list[str], produce: list[str]) -> dict[int, bool]:
-        w = {bank.tok_cur[e]: False for e in consume}
-        for e in produce:
-            w[bank.tok_cur[e]] = True
-        return w
-
-    def safety(cond: int, consume: list[str], produce: list[str]) -> int:
-        for e in produce:
-            if e not in consume:
-                cond = m.band(cond, m.nvar(bank.tok_cur[e]))
-        return cond
-
-    for n in ad.nodes:
-        ins = [e.id for e in ad.in_edges(n.id)]
-        outs = [e.id for e in ad.out_edges(n.id)]
-        if n.kind == FINAL:
-            for e in ins:
-                out.append((m.var(bank.tok_cur[e]), writes([e], [])))
-        elif n.kind == DECISION:
-            e_in = ins[0]
-            for edge in ad.out_edges(n.id):
-                cond = m.band(m.var(bank.tok_cur[e_in]),
-                              _compile_bool(m, bank, edge.guard))
-                cond = safety(cond, [e_in], [edge.id])
-                out.append((cond, writes([e_in], [edge.id])))
-        elif n.kind == MERGE:
-            e_out = outs[0]
-            for e_in in ins:
-                cond = safety(m.var(bank.tok_cur[e_in]), [e_in], [e_out])
-                out.append((cond, writes([e_in], [e_out])))
-        elif n.kind == FORK:
-            e_in = ins[0]
-            cond = safety(m.var(bank.tok_cur[e_in]), [e_in], outs)
-            out.append((cond, writes([e_in], outs)))
-        elif n.kind == JOIN:
-            cond = TRUE
-            for e in ins:
-                cond = m.band(cond, m.var(bank.tok_cur[e]))
-            cond = safety(cond, ins, outs)
-            out.append((cond, writes(ins, outs)))
+    for t in bank.ad.transitions:
+        if t.label is None:
+            before, after = _marks(bank.tok_cur, t)
+            guard = TRUE if t.guard is None else _compile_bool(m, bank, t.guard)
+            out.append((m.band(m.cube(before), guard), after))
     return out
 
 
@@ -428,10 +402,10 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
 
     settle(s, tok') holds when silent firings lead s to a quiescent state
     whose marking is tok'; it is composed once.  Silent firings leave the
-    locals alone, so an action's relation is settle read at the marking
-    it fires from (token on in, out free: unsafe firings are absent),
-    then the token move and its effects.  Action nodes sharing a name
-    share a relation, the union of theirs.
+    locals alone, so a labelled transition's relation is settle read at
+    the marking it fires from (pre set, post - pre clear: unsafe firings
+    are absent), then its token move and its node's effects.  Transitions
+    sharing a label share a relation, the union of theirs.
     """
     ad = bank.ad
     dom = _domains(m, bank.input_bundles.values())
@@ -443,23 +417,19 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
 
     settle = _compose_closure(m, m.band(quiet, _frame_tokens(m, bank)), firings)
     rels: dict[str, int] = {}
-    for n in ad.nodes:
-        if n.kind != ACTION:
+    for t in ad.transitions:
+        if t.label is None:
             continue
-        e_in = bank.tok_next[ad.in_edges(n.id)[0].id]
-        e_out = bank.tok_next[ad.out_edges(n.id)[0].id]
-        rel = m.band(m.restrict(settle, {e_out: False, e_in: True}),
-                     m.cube({e_in: e_in == e_out, e_out: True}))
-        rel = m.band(rel, _effects_relation(m, bank, n))
-        rels[n.name()] = m.bor(rels.get(n.name(), FALSE), rel)
+        before, after = _marks(bank.tok_next, t)
+        rel = m.band(m.restrict(settle, before), m.cube(after))
+        rel = m.band(rel, _effects_relation(m, bank, t.node))
+        rels[t.label] = m.bor(rels.get(t.label, FALSE), rel)
     nxt = bank.next_levels()
     for name, t in sorted(rels.items()):
         bank.t_by_action[name] = t
         bank.en_by_action[name] = m.exists(t, nxt)
 
-    init_node = next(n for n in ad.nodes if n.kind == INITIAL)
-    start = ad.out_edges(init_node.id)[0].id
-    toks = {bank.tok_cur[e.id]: (e.id == start) for e in ad.edges}
+    toks = {bank.tok_cur[e.id]: (e.id == ad.start_edge) for e in ad.edges}
     init = m.cube(toks)
     for v in ad.locals:
         init = m.band(init, m.value_cube(bank.loc_cur[v.name], v.init))

@@ -4,6 +4,10 @@ Tokens live on edges.  Decision, merge, fork, join and final nodes fire
 silently; action nodes fire observably.  Silent firings are closed off
 before an action fires, never after, so the configurations produced by
 observable steps are the raw post-action ones.
+
+Only this module maps node kinds to firing rules: each diagram compiles
+once into a net (`ActivityDiagram.transitions`) that the explicit game
+below and the BDD encoder of `ad/encode.py` both read.
 """
 
 from __future__ import annotations
@@ -201,7 +205,6 @@ INITIAL, FINAL, ACTION, DECISION, MERGE, FORK, JOIN = (
     "initial", "final", "action", "decision", "merge", "fork", "join")
 
 NODE_KINDS = (INITIAL, FINAL, ACTION, DECISION, MERGE, FORK, JOIN)
-SILENT_KINDS = (INITIAL, FINAL, DECISION, MERGE, FORK, JOIN)
 
 
 @dataclass(frozen=True)
@@ -235,6 +238,20 @@ class Edge:
 
 
 @dataclass(frozen=True)
+class Transition:
+    """One firing rule of the token game: when every edge of pre holds a
+    token, every edge of post - pre is free and the guard (None: true)
+    holds, the tokens of pre move onto post.  label is the action name,
+    None for a silent firing; node is the node that fires."""
+
+    label: str | None
+    pre: frozenset[str]
+    post: frozenset[str]
+    guard: object | None
+    node: Node
+
+
+@dataclass(frozen=True)
 class ActivityDiagram:
     name: str
     inputs: tuple[VarDecl, ...]
@@ -265,6 +282,38 @@ class ActivityDiagram:
 
     def variables(self) -> tuple[VarDecl, ...]:
         return self.inputs + self.locals
+
+    @cached_property
+    def _ranges(self) -> dict[str, tuple[int, int]]:
+        return {v.name: (v.lo, v.hi) for v in self.variables()}
+
+    @cached_property
+    def start_edge(self) -> str:
+        """The initial node's out-edge: the one token of every start."""
+        init = next(n for n in self.nodes if n.kind == INITIAL)
+        return self.out_edges(init.id)[0].id
+
+    @cached_property
+    def transitions(self) -> tuple[Transition, ...]:
+        """The diagram as a net, in node declaration order and within a
+        node in edge order: one transition per guarded out-edge of a
+        decision, per in-edge of a merge or a final node, and one for
+        each fork, join and action node."""
+        out: list[Transition] = []
+        for n in self.nodes:
+            ins = frozenset(e.id for e in self.in_edges(n.id))
+            outs = frozenset(e.id for e in self.out_edges(n.id))
+            if n.kind == DECISION:
+                out += [Transition(None, ins, frozenset({e.id}), e.guard, n)
+                        for e in self.out_edges(n.id)]
+            elif n.kind in (MERGE, FINAL):
+                out += [Transition(None, frozenset({e.id}), outs, None, n)
+                        for e in self.in_edges(n.id)]
+            elif n.kind == ACTION:
+                out.append(Transition(n.name(), ins, outs, None, n))
+            elif n.kind in (FORK, JOIN):
+                out.append(Transition(None, ins, outs, None, n))
+        return tuple(out)
 
     def action_names(self) -> list[str]:
         return sorted({n.name() for n in self.nodes if n.kind == ACTION})
@@ -367,7 +416,7 @@ def validate_ad(ad: ActivityDiagram) -> ActivityDiagram:
     # A cycle visiting silent nodes only would let the token game spin
     # without ever producing an action.  Depth first with an explicit
     # stack: todo[i] holds the out-edges of path[i] not yet followed.
-    silent = {n.id for n in ad.nodes if n.kind in SILENT_KINDS}
+    silent = {n.id for n in ad.nodes if n.kind != ACTION}
     color: dict[str, int] = {}
     for root in sorted(silent):
         if color.get(root, 0):
@@ -401,8 +450,6 @@ def initial_configs(ad: ActivityDiagram,
     An input named in pinned takes only its pinned value, or none when
     that value is out of its range; other names in pinned are ignored.
     """
-    init_node = next(n for n in ad.nodes if n.kind == INITIAL)
-    start_edge = ad.out_edges(init_node.id)[0]
     base = {v.name: v.init for v in ad.locals}
     pinned = pinned or {}
     combos: list[dict[str, int]] = [{}]
@@ -411,46 +458,19 @@ def initial_configs(ad: ActivityDiagram,
         if v.name in pinned:
             values = [pinned[v.name]] if pinned[v.name] in values else []
         combos = [dict(c, **{v.name: x}) for c in combos for x in values]
-    return [Configuration.make({start_edge.id}, {**base, **c}) for c in combos]
+    return [Configuration.make({ad.start_edge}, {**base, **c}) for c in combos]
 
 
 def _fire_silent(ad: ActivityDiagram, c: Configuration) -> list[Configuration]:
     """All configurations one silent firing away from c."""
-    out: list[Configuration | None] = []
     env = c.env()
-    for n in ad.nodes:
-        if n.kind not in SILENT_KINDS or n.kind == INITIAL:
-            continue
-        ins = ad.in_edges(n.id)
-        if n.kind == FINAL:
-            for e in ins:
-                if e.id in c.tokens:
-                    out.append(Configuration(c.tokens - {e.id}, c.valuation))
-        elif n.kind == DECISION:
-            e_in = ins[0]
-            if e_in.id not in c.tokens:
-                continue
-            for e_out in ad.out_edges(n.id):
-                if eval_bool(e_out.guard, env):
-                    out.append(_move(c, {e_in.id}, {e_out.id}))
-        elif n.kind == MERGE:
-            e_out = ad.out_edges(n.id)[0]
-            for e_in in ins:
-                if e_in.id in c.tokens:
-                    out.append(_move(c, {e_in.id}, {e_out.id}))
-        elif n.kind == FORK:
-            e_in = ins[0]
-            if e_in.id in c.tokens:
-                outs = {e.id for e in ad.out_edges(n.id)}
-                out.append(_move(c, {e_in.id}, outs))
-        elif n.kind == JOIN:
-            if all(e.id in c.tokens for e in ins):
-                e_out = ad.out_edges(n.id)[0]
-                out.append(_move(c, {e.id for e in ins}, {e_out.id}))
+    out = [_move(c, t.pre, t.post) for t in ad.transitions
+           if t.label is None and t.pre <= c.tokens
+           and (t.guard is None or eval_bool(t.guard, env))]
     return [s for s in out if s is not None]
 
 
-def _move(c: Configuration, consume: set[str], produce: set[str]) -> Configuration | None:
+def _move(c: Configuration, consume: frozenset, produce: frozenset) -> Configuration | None:
     """c with the consumed tokens moved onto produce, or None when that
     would put a second token on an edge: such a firing never happens."""
     left = c.tokens - consume
@@ -482,7 +502,7 @@ def silent_closure(ad: ActivityDiagram, c: Configuration) -> frozenset[Configura
 
 
 def _apply_effects(ad: ActivityDiagram, node: Node, env: dict[str, int]) -> dict[str, int]:
-    ranges = {v.name: (v.lo, v.hi) for v in ad.variables()}
+    ranges = ad._ranges
     env = dict(env)
     for var, expr in node.effects:  # left to right; later effects see earlier writes
         val = eval_int(expr, env)
@@ -500,20 +520,16 @@ def observable_steps(ad: ActivityDiagram, c: Configuration) -> list[ObservableSt
     on an edge, does not happen."""
     steps: set[ObservableStep] = set()
     for cq in silent_closure(ad, c):
-        for n in ad.nodes:
-            if n.kind != ACTION:
+        for t in ad.transitions:
+            if t.label is None or not t.pre <= cq.tokens:
                 continue
-            e_in = ad.in_edges(n.id)[0]
-            if e_in.id not in cq.tokens:
-                continue
-            e_out = ad.out_edges(n.id)[0]
             try:
-                env = _apply_effects(ad, n, cq.env())
+                env = _apply_effects(ad, t.node, cq.env())
             except RangeViolationError:
                 continue
-            succ = _move(Configuration.make(cq.tokens, env), {e_in.id}, {e_out.id})
+            succ = _move(Configuration.make(cq.tokens, env), t.pre, t.post)
             if succ is not None:
-                steps.add(ObservableStep(n.name(), succ))
+                steps.add(ObservableStep(t.label, succ))
     return sorted(steps, key=lambda s: (s.action, s.successor.sort_key()))
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
+from ..errors import InternalError
 from ..summary import PartitionKey, SummaryReport, summarize
 from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
                     ObjectModel, check_instance, classes_of, conforms,
@@ -42,6 +43,13 @@ from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
 
 
 ClassSet = tuple[str, ...]  # sorted class names
+
+
+class WitnessCheckError(InternalError):
+    """A witness failed its own re-check: an engine fault, never a
+    property of the input diagrams."""
+
+    what = "witness check failed"
 
 
 def _check_scope(scope: int) -> None:
@@ -386,7 +394,8 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
         for asc in cd1.associations:
             links.extend(override if asc.name == override_name else base[asc.name])
         om = ObjectModel(name, objects, tuple(links))
-        assert is_instance(om, cd1), f"constructed model must satisfy {cd1.name}"
+        if not is_instance(om, cd1):
+            raise WitnessCheckError(f"a model built as an instance of {cd1.name} is not one")
         return om
 
     om = build()
@@ -445,7 +454,8 @@ def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
             continue
         om = _universe_witness(cd1, cd2, objects, "witness")
         if om is not None:
-            assert not is_instance(om, cd2)
+            if is_instance(om, cd2):
+                raise WitnessCheckError(f"a witness is an instance of {cd2.name}")
             skip[cs] = True
             yield om
         elif cs not in skip:
@@ -495,7 +505,9 @@ def cddiff_summary(cd1: ClassDiagram, cd2: ClassDiagram,
     found = list(_first_witnesses(cd1, cd2, scope))
     for om in found:
         verdict = check_instance(om, cd1)
-        assert verdict.ok, f"engine produced an invalid witness: {verdict.violations}"
+        if not verdict.ok:
+            raise WitnessCheckError(
+                f"a witness is invalid in {cd1.name}: {verdict.violations}")
     return summarize(
         found, lambda om: PartitionKey.class_set(classes_of(om)),
         direction=(cd1.name, cd2.name), partition_kind="class-set",

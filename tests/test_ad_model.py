@@ -4,10 +4,10 @@ import pytest
 
 from semdiff.ad import (build_explicit_ts, initial_configs, observable_steps,
                         silent_closure, validate_ad)
-from semdiff.ad.model import (ActivityDiagram, BadDegreeError, Configuration,
-                              Edge, InputAssignmentError, MisplacedGuardError,
+from semdiff.ad.model import (ActivityDiagram, BadDegreeError, Cmp, Configuration,
+                              Edge, InputAssignmentError, IntLit, MisplacedGuardError,
                               Node, RangeViolationError, SilentCycleError,
-                              UndeclaredVariableError, VarDecl, _apply_effects)
+                              UndeclaredVariableError, Var, VarDecl, _apply_effects)
 from semdiff.parsing import parse_ad
 
 from explicit import enabled_actions, is_observably_deterministic, stuck_decisions
@@ -105,6 +105,52 @@ def test_silent_cycle_search_needs_no_recursion():
           edge i -> m; edge m -> d;
           edge d -> m [1 > 0]; edge d -> f [0 > 1];
         }""")
+
+
+# ------------------------------------------------------------- the net
+
+LOW, MID, HIGH = (Cmp(op, Var("x"), IntLit(2)) for op in ("<", "==", ">"))
+
+
+def every_rule() -> ActivityDiagram:
+    """A decision with three guarded out-edges, two action nodes named
+    "go", a merge, a fork and a join, a final node with two in-edges and
+    an action whose only edge loops back to it."""
+    kinds = {"i": "initial", "d": "decision", "a": "action", "b": "action",
+             "m": "merge", "k": "fork", "c1": "action", "c2": "action",
+             "j": "join", "f": "final", "s": "action"}
+    nodes = tuple(Node(n, k, "go" if n in ("a", "b") else None) for n, k in kinds.items())
+    arcs = [("i", "d", None), ("d", "a", LOW), ("d", "b", MID), ("d", "f", HIGH),
+            ("a", "m", None), ("b", "m", None), ("m", "k", None), ("k", "c1", None),
+            ("k", "c2", None), ("c1", "j", None), ("c2", "j", None), ("j", "f", None),
+            ("s", "s", None)]
+    edges = tuple(Edge(f"e{i}", src, dst, g) for i, (src, dst, g) in enumerate(arcs))
+    return validate_ad(ActivityDiagram("every", (VarDecl("x", 0, 3),), (), nodes, edges))
+
+
+def test_net_has_one_transition_per_firing_rule():
+    # written out by hand, not derived: both engines read this net
+    fs = frozenset
+    want = [
+        (None, fs({"e0"}), fs({"e1"}), LOW, "d"),
+        (None, fs({"e0"}), fs({"e2"}), MID, "d"),
+        (None, fs({"e0"}), fs({"e3"}), HIGH, "d"),
+        ("go", fs({"e1"}), fs({"e4"}), None, "a"),
+        ("go", fs({"e2"}), fs({"e5"}), None, "b"),
+        (None, fs({"e4"}), fs({"e6"}), None, "m"),
+        (None, fs({"e5"}), fs({"e6"}), None, "m"),
+        (None, fs({"e6"}), fs({"e7", "e8"}), None, "k"),
+        ("c1", fs({"e7"}), fs({"e9"}), None, "c1"),
+        ("c2", fs({"e8"}), fs({"e10"}), None, "c2"),
+        (None, fs({"e9", "e10"}), fs({"e11"}), None, "j"),
+        (None, fs({"e3"}), fs(), None, "f"),
+        (None, fs({"e11"}), fs(), None, "f"),
+        ("s", fs({"e12"}), fs({"e12"}), None, "s"),
+    ]
+    ad = every_rule()
+    assert ad.start_edge == "e0"
+    assert [(t.label, t.pre, t.post, t.guard, t.node.id) for t in ad.transitions] == want
+    assert all(t.node is ad.node(t.node.id) for t in ad.transitions)
 
 
 # ------------------------------------------------------------- configurations

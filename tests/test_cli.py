@@ -11,6 +11,7 @@ import pytest
 
 from conftest import FIXTURES
 from semdiff.ad.diff import ReplayMismatchError
+from semdiff.cd.model import InstanceVerdict
 from semdiff.cli import main
 from semdiff.oracle import StateBudgetExceededError
 
@@ -360,6 +361,19 @@ def test_replay_mismatch_exits_5(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: internal error, replay mismatch: "
                    "ad_v1 cannot replay ['register']\n")
+
+
+@pytest.mark.parametrize("name, fake, says", [
+    ("is_instance", lambda om, cd: False, "a model built as an instance of cd_v2 is not one"),
+    ("is_instance", lambda om, cd: True, "a witness is an instance of cd_v1"),
+    ("check_instance", lambda om, cd: InstanceVerdict(False), "a witness is invalid in cd_v2: ()"),
+])
+def test_witness_check_failure_exits_5(capsys, monkeypatch, name, fake, says):
+    # each fake breaks one check the witness search makes on its own result
+    monkeypatch.setattr(f"semdiff.cd.diff.{name}", fake)
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3")
+    assert (code, out) == (5, "")
+    assert err == f"error: internal error, witness check failed: {says}\n"
 
 
 # -- the process path: run() flushes, then exits without teardown --------------
