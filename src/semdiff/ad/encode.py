@@ -1,13 +1,17 @@
 """Symbolic product encoding of two activity diagrams.
 
 State bits per diagram: one token bit per edge plus a binary bundle per
-local variable, each with an adjacent next-state copy; bits at the same
-position of the two diagrams' edges and locals are interleaved, so
-relations between a left and a right counter stay small. Inputs get one
-copy only (they are read-only) and sit at the top of the order.  An
-input both diagrams declare with the same name and range is one bundle
-that both diagrams read; a shared name whose ranges differ gets one
-bundle per diagram, interleaved bit by bit and paired by value.
+local variable, each with an adjacent next-state copy.  Each diagram's
+token bits follow its net from the start edge (`_edge_order`), so a
+copy with renamed nodes and reordered declarations lays its bits out as
+the original does; the i-th token bit of one diagram sits next to the
+i-th of the other, and locals at the same declaration position are
+interleaved bit by bit, so relations between a left and a right counter
+stay small.  Inputs get one copy only (they are read-only) and sit at
+the top of the order.  An input both diagrams declare with the same
+name and range is one bundle that both diagrams read; a shared name
+whose ranges differ gets one bundle per diagram, interleaved bit by bit
+and paired by value.
 
 The relations are compiled from the diagram's net, the transitions the
 explicit game fires.  An action's relation is silent closure followed
@@ -29,6 +33,7 @@ in-range valuations the concrete semantics accepts.
 from __future__ import annotations
 
 import sys
+from collections import deque
 
 from ..bdd import FALSE, TRUE, BddManager, VarBundle
 from ..errors import LimitError
@@ -184,17 +189,79 @@ def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
         alloc(right, v2, bits)
 
 
+def _edge_order(ad: ActivityDiagram) -> list[str]:
+    """The diagram's edges in structural order.
+
+    e leads to f when a transition consumes e and produces f.  The walk
+    goes breadth first from the start edge over the strongly connected
+    components of that graph and depth first inside a component, so a
+    loop's edges stay together.  Siblings go in the order of the
+    transitions that read them (action labels, silent ones last, then
+    guards), then of those that write them; only a tie falls back to
+    declaration order, never to ids.  Edges the walk does not reach
+    come last, in declaration order."""
+    ids = [e.id for e in ad.edges]
+    if not ids:  # such a diagram may lack the initial node start_edge needs
+        return ids
+    succ: dict[str, set[str]] = {e: set() for e in ids}
+    sigs: dict[str, tuple[list, list]] = {e: ([], []) for e in ids}
+    for t in ad.transitions:
+        sig = (t.label is None, t.label or "", "" if t.guard is None else str(t.guard))
+        for e in t.pre:
+            succ[e] |= t.post
+            sigs[e][0].append(sig)
+        for e in t.post:
+            sigs[e][1].append(sig)
+    key = {e: (sorted(r), sorted(w), i) for i, (e, (r, w)) in enumerate(sigs.items())}
+    kids = {e: sorted(s, key=key.__getitem__) for e, s in succ.items()}
+    reach = {e: _reachable(kids, e) for e in ids}
+    # e's strongly connected component: e and the edges on a cycle through it
+    comp = {e: frozenset({e, *(f for f in reach[e] if e in reach[f])}) for e in ids}
+
+    order: list[str] = []
+    placed: set[str] = set()
+    entered = {comp[ad.start_edge]}
+    queue = deque([ad.start_edge])  # each component's first edge reached
+    while queue:
+        stack = [queue.popleft()]
+        while stack:
+            e = stack.pop()
+            if e in placed:
+                continue
+            placed.add(e)
+            order.append(e)
+            for f in kids[e]:
+                if comp[f] not in entered:
+                    entered.add(comp[f])
+                    queue.append(f)
+            stack.extend(f for f in reversed(kids[e]) if f in comp[e])
+    return order + [e for e in ids if e not in placed]
+
+
+def _reachable(kids: dict[str, list[str]], e: str) -> set[str]:
+    """The edges some nonempty path from e leads to."""
+    seen: set[str] = set()
+    todo = [e]
+    while todo:
+        for f in kids[todo.pop()]:
+            if f not in seen:
+                seen.add(f)
+                todo.append(f)
+    return seen
+
+
 def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
-    # token bits, then locals; the two diagrams interleaved, locals at
-    # the same position bit by bit; every current bit immediately
-    # followed by its next-state copy
-    e1, e2 = left.ad.edges, right.ad.edges
+    # token bits, then locals; the i-th edge of each diagram's structural
+    # order next to the other's i-th, locals at the same declaration
+    # position bit by bit; every current bit immediately followed by its
+    # next-state copy
+    e1, e2 = _edge_order(left.ad), _edge_order(right.ad)
     for i in range(max(len(e1), len(e2))):
         for bank, edges in ((left, e1), (right, e2)):
             if i < len(edges):
                 e = edges[i]
-                bank.tok_cur[e.id] = m.new_var(f"{bank.ad.name}.tok.{e.id}")
-                bank.tok_next[e.id] = m.new_var(f"{bank.ad.name}.tok.{e.id}'")
+                bank.tok_cur[e] = m.new_var(f"{bank.ad.name}.tok.{e}")
+                bank.tok_next[e] = m.new_var(f"{bank.ad.name}.tok.{e}'")
     l1, l2 = left.ad.locals, right.ad.locals
     for i in range(max(len(l1), len(l2))):
         pair = [(bank, decls[i]) for bank, decls in ((left, l1), (right, l2))

@@ -87,7 +87,8 @@ def fork_text(name: str, width: int, finish: str, moves: int = 0) -> str:
     """A fork of `width` one-action branches, a join, then `finish`.
 
     moves > 0 cuts that many edge declarations out and pastes them
-    elsewhere, seeded by the width; edge order is BDD variable order."""
+    elsewhere, seeded by the width.  That renumbers the edges but moves
+    no BDD variable: the encoder orders them by the net."""
     branches = [f"b{i}" for i in range(width)]
     nodes = ["initial start;", "fork split;", "join sync;",
              f"action {finish};", "final done;"]
