@@ -290,7 +290,9 @@ class ActivityDiagram:
     @cached_property
     def start_edge(self) -> str:
         """The initial node's out-edge: the one token of every start."""
-        init = next(n for n in self.nodes if n.kind == INITIAL)
+        init = next((n for n in self.nodes if n.kind == INITIAL), None)
+        if init is None or not self.out_edges(init.id):
+            raise BadDegreeError(f"{self.name}: no initial node with an outgoing edge")
         return self.out_edges(init.id)[0].id
 
     @cached_property

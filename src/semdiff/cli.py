@@ -11,6 +11,7 @@ internal error (an engine result failed its explicit replay).  Statuses
 A process whose reader closes stdout before the output is complete (say,
 `| head -c 10`) also ends in status 2.
 
+`parse_args` reads the command line against one table, COMMANDS.
 `main()` returns the exit status, so tests and tools can call it in
 process.  The process entry point `run()` (the `semdiff` script and
 `python -m semdiff.cli`) flushes stdout and stderr after `main()` and
@@ -21,15 +22,16 @@ temporary files and registers no `atexit` handler.  A closed pipe,
 whether a `print` in `main()` or the final flush meets it, points fd 1 at
 /dev/null and exits 2; if a flush fails otherwise (say, no stream), `run()`
 exits through `sys.exit`.
-`json` is imported only where JSON is written.
+A plain run imports neither `argparse`, `json` nor the oracle: JSON
+output and `--oracle` import them where they are used.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .ad.diff import addiff, render_inputs
 from .ad.model import ActivityDiagram, validate_ad
@@ -37,7 +39,6 @@ from .cd.diff import cddiff_summary, enumerate_witnesses
 from .cd.model import (ClassDiagram, ObjectModel, check_instance, is_instance,
                        validate_cd, validate_om)
 from .errors import InternalError, LimitError
-from .oracle import ScopeTooLargeError, ad_diff_bfs, cd_enumerate_all
 from .parsing import ParseError, parse_model, print_od
 from .summary import PartitionKey, SummaryReport
 
@@ -48,7 +49,8 @@ EXIT_ORACLE = 3
 EXIT_LIMIT = 4
 EXIT_INTERNAL = 5
 
-_KIND_NAMES = {"cd": "class diagram", "od": "object model", "ad": "activity diagram"}
+_KIND_NAMES = {ClassDiagram: "class diagram", ObjectModel: "object model",
+               ActivityDiagram: "activity diagram"}
 
 
 class CliError(Exception):
@@ -65,10 +67,8 @@ def _load(path: str, want: type) -> object:
     except ParseError as exc:
         raise CliError(str(exc)) from exc
     if not isinstance(model, want):
-        kinds = {ClassDiagram: "cd", ObjectModel: "od", ActivityDiagram: "ad"}
-        raise CliError(
-            f"{path}: expected {_KIND_NAMES[kinds[want]]}, "
-            f"found {_KIND_NAMES[kinds[type(model)]]}")
+        raise CliError(f"{path}: expected {_KIND_NAMES[want]}, "
+                       f"found {_KIND_NAMES[type(model)]}")
     validators = {ClassDiagram: validate_cd, ObjectModel: validate_om,
                   ActivityDiagram: validate_ad}
     try:
@@ -110,17 +110,17 @@ def render_text(report: SummaryReport, heading: str) -> str:
     return "\n".join(lines)
 
 
+def _json_line(row: dict) -> str:
+    import json
+    return json.dumps(row, ensure_ascii=False, sort_keys=True)
+
+
 def render_json_lines(report: SummaryReport) -> str:
     """One entry object per line: key, representative, annotation."""
-    import json
-    out = []
-    for e in report.entries:
-        out.append(json.dumps(
-            {"key": {"kind": e.key.kind, "names": list(e.key.names)},
-             "representative": _rep_text(e.representative),
-             "annotation": e.annotation},
-            ensure_ascii=False, sort_keys=True))
-    return "\n".join(out)
+    return "\n".join(_json_line(
+        {"key": {"kind": e.key.kind, "names": list(e.key.names)},
+         "representative": _rep_text(e.representative),
+         "annotation": e.annotation}) for e in report.entries)
 
 
 def _print_report(report: SummaryReport, heading: str, fmt: str) -> None:
@@ -134,7 +134,7 @@ def _print_report(report: SummaryReport, heading: str, fmt: str) -> None:
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_cddiff(args: argparse.Namespace) -> int:
+def cmd_cddiff(args: SimpleNamespace) -> int:
     cd1 = _load(args.left, ClassDiagram)
     cd2 = _load(args.right, ClassDiagram)
     heading = f"cddiff {cd1.name} vs {cd2.name} (scope {args.scope})"
@@ -149,10 +149,8 @@ def cmd_cddiff(args: argparse.Namespace) -> int:
             print(f"{heading}: no differences")
             return EXIT_NO_DIFFS
         if args.format == "json-lines":
-            import json
             for om in witnesses:
-                print(json.dumps({"witness": print_od(om).rstrip("\n")},
-                                 ensure_ascii=False, sort_keys=True))
+                print(_json_line({"witness": print_od(om).rstrip("\n")}))
         else:
             tail = " (limit reached; more may exist)" if truncated else ""
             print(f"{heading}: {len(witnesses)} witness(es){tail}")
@@ -177,6 +175,7 @@ def cmd_cddiff(args: argparse.Namespace) -> int:
 
 def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
                      report: SummaryReport) -> int:
+    from .oracle import ScopeTooLargeError, cd_enumerate_all
     try:
         oracle = cd_enumerate_all(cd1, cd2, scope)
     except ScopeTooLargeError as exc:
@@ -197,7 +196,7 @@ def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
     return 0
 
 
-def cmd_addiff(args: argparse.Namespace) -> int:
+def cmd_addiff(args: SimpleNamespace) -> int:
     ad1 = _load(args.left, ActivityDiagram)
     ad2 = _load(args.right, ActivityDiagram)
     res = addiff(ad1, ad2)
@@ -220,11 +219,9 @@ def cmd_addiff(args: argparse.Namespace) -> int:
                   f"/{len(res.action_sets.entries)}")
     elif args.summarize == "none":
         if args.format == "json-lines":
-            import json
             for st in res.traces:
-                print(json.dumps({"actions": list(st.actions),
-                                  "inputs": render_inputs(st)},
-                                 ensure_ascii=False, sort_keys=True))
+                print(_json_line({"actions": list(st.actions),
+                                  "inputs": render_inputs(st)}))
         else:
             print(f"{heading}: {len(res.traces)} symbolic trace(s)")
             for i, st in enumerate(res.traces, 1):
@@ -243,6 +240,7 @@ def _ad_oracle_check(ad1: ActivityDiagram, ad2: ActivityDiagram, res) -> int:
               "diagram nondeterministic on a joint run, or has private inputs)",
               file=sys.stderr)
         return 0
+    from .oracle import ad_diff_bfs
     oracle = ad_diff_bfs(ad1, ad2)
     names1 = {v.name for v in ad1.inputs}
 
@@ -270,7 +268,7 @@ def _ad_oracle_check(ad1: ActivityDiagram, ad2: ActivityDiagram, res) -> int:
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     om = _load(args.object_model, ObjectModel)
     cd = _load(args.class_diagram, ClassDiagram)
     verdict = check_instance(om, cd)
@@ -286,64 +284,102 @@ def cmd_check(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- wiring
 
 def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise ValueError(f"must be at least 1, got {text}")
+    return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="semdiff",
-        description="Semantic differencing of class and activity diagrams.")
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (handler, summary, positionals, options); an option maps to
+# (dest, default, how): `how` is a converter or a tuple of choices for an
+# option that takes a value, and for a flag the constant it stores
+_SHARED = {"--oracle": ("oracle", False, True),
+           "--format": ("format", "text", ("text", "json-lines"))}
+COMMANDS = {
+    "cddiff": (cmd_cddiff, "object models of LEFT that are not instances of RIGHT",
+               ("left", "right"), {
+                   "--scope": ("scope", 10, _positive),
+                   "--limit": ("limit", 20, _positive),
+                   "--summarize": ("summarize", "class-set", ("class-set", "none")),
+                   "--no-summary": ("summarize", "class-set", "none"), **_SHARED}),
+    "addiff": (cmd_addiff, "traces of LEFT that RIGHT cannot match", ("left", "right"), {
+        "--summarize": ("summarize", "action-list", ("action-list", "action-set", "none")),
+        "--no-summary": ("summarize", "action-list", "none"),
+        "--both": ("both", False, True), **_SHARED}),
+    "check": (cmd_check, "is the object model an instance of the class diagram?",
+              ("object_model", "class_diagram"), {}),
+}
+_HELP = ("-h", "--help")
 
-    dd = sub.add_parser("cddiff", help="object models of LEFT that are not "
-                                       "instances of RIGHT")
-    dd.add_argument("left")
-    dd.add_argument("right")
-    dd.add_argument("--scope", type=_positive, default=10, metavar="N",
-                    help="max objects per witness (default 10)")
-    dd.add_argument("--limit", type=_positive, default=20, metavar="N",
-                    help="cap for --no-summary enumeration (default 20)")
-    dd.add_argument("--summarize", choices=["class-set", "none"],
-                    default="class-set")
-    dd.add_argument("--no-summary", dest="summarize", action="store_const",
-                    const="none", help="raw witness enumeration")
-    dd.add_argument("--oracle", action="store_true",
-                    help="cross-check against exhaustive enumeration (scope <= 4)")
-    dd.add_argument("--format", choices=["text", "json-lines"], default="text")
-    dd.set_defaults(func=cmd_cddiff)
 
-    da = sub.add_parser("addiff", help="traces of LEFT that RIGHT cannot match")
-    da.add_argument("left")
-    da.add_argument("right")
-    da.add_argument("--summarize", choices=["action-list", "action-set", "none"],
-                    default="action-list")
-    da.add_argument("--no-summary", dest="summarize", action="store_const",
-                    const="none", help="symbolic traces without concretization")
-    da.add_argument("--both", action="store_true",
-                    help="print both partitions plus a counts line L/S")
-    da.add_argument("--oracle", action="store_true",
-                    help="cross-check against the explicit subset-construction oracle")
-    da.add_argument("--format", choices=["text", "json-lines"], default="text")
-    da.set_defaults(func=cmd_addiff)
+def _help(args: SimpleNamespace) -> int:
+    """Print the synopsis of one command, or of all."""
+    for name in [args.command] if args.command else COMMANDS:
+        _, summary, positionals, options = COMMANDS[name]
+        words = [name, *(p.upper() for p in positionals), "[-h]"]
+        words += [f"[{opt} {{{','.join(how)}}}]" if isinstance(how, tuple) else
+                  f"[{opt} N]" if callable(how) else f"[{opt}]"
+                  for opt, (_, _, how) in options.items()]
+        print(f"usage: semdiff {' '.join(words)}\n  {summary}")
+    return 0
 
-    ck = sub.add_parser("check", help="is the object model an instance of "
-                                      "the class diagram?")
-    ck.add_argument("object_model")
-    ck.add_argument("class_diagram")
-    ck.set_defaults(func=cmd_check)
-    return p
+
+def _is_option(tok: str) -> bool:
+    return tok.startswith("-") and len(tok) > 1 and not tok[1:].isdigit()
+
+
+def _option(tok: str, names: tuple[str, ...]) -> str:
+    """The option that `tok` spells out, or abbreviates to a unique prefix."""
+    hits = [n for n in names if n == tok] or [
+        n for n in names if len(tok) > 2 and n.startswith(tok)]
+    if len(hits) != 1:
+        raise CliError(f"ambiguous option {tok} (could be {', '.join(hits)})"
+                       if hits else f"unrecognized option {tok}")
+    return hits[0]
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS; a usage error raises CliError, and `-h`
+    or `--help` yields a namespace whose `func` prints the synopsis."""
+    command = argv[0] if argv else "nothing"
+    if command not in COMMANDS:
+        if _is_option(command) and _option(command, _HELP):
+            return SimpleNamespace(command=None, func=_help)
+        raise CliError(f"expected a command ({', '.join(COMMANDS)}), got {command}")
+    func, _, names, options = COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func,
+                           **{dest: default for dest, default, _ in options.values()})
+    values, rest = [], iter(argv[1:])
+    for tok in rest:
+        if tok == "--" or not _is_option(tok):  # `--` ends the options
+            values.extend(rest if tok == "--" else [tok])
+            continue
+        name, eq, value = tok.partition("=")
+        name = _option(name, (*_HELP, *options))
+        if name in _HELP:
+            return SimpleNamespace(command=command, func=_help)
+        dest, _, how = options[name]
+        flag = not (callable(how) or isinstance(how, tuple))
+        if flag and eq:
+            raise CliError(f"option {name} takes no value")
+        if not (flag or eq) and _is_option(value := next(rest, "--")):
+            raise CliError(f"option {name} needs a value")
+        try:
+            if isinstance(how, tuple) and value not in how:
+                raise ValueError(f"invalid choice {value} (choose from {', '.join(how)})")
+            setattr(args, dest, how if flag else how(value) if callable(how) else value)
+        except ValueError as exc:
+            raise CliError(f"option {name}: {exc}") from None
+    if len(values) != len(names):
+        raise CliError(f"{command}: missing {names[len(values)].upper()}"
+                       if len(values) < len(names) else
+                       f"{command}: unexpected argument {values[len(names)]}")
+    vars(args).update(zip(names, values))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,12 @@ import pytest
 
 from semdiff.ad import (build_explicit_ts, initial_configs, observable_steps,
                         silent_closure, validate_ad)
-from semdiff.ad.model import (ActivityDiagram, BadDegreeError, Cmp, Configuration,
-                              Edge, InputAssignmentError, IntLit, MisplacedGuardError,
-                              Node, RangeViolationError, SilentCycleError,
-                              UndeclaredVariableError, Var, VarDecl, _apply_effects)
+from semdiff.ad.encode import encode_product
+from semdiff.ad.model import (ActivityDiagram, AdValidationError, BadDegreeError, Cmp,
+                              Configuration, Edge, InputAssignmentError, IntLit,
+                              MisplacedGuardError, Node, RangeViolationError,
+                              SilentCycleError, UndeclaredVariableError, Var, VarDecl,
+                              _apply_effects)
 from semdiff.parsing import parse_ad
 
 from explicit import enabled_actions, is_observably_deterministic, stuck_decisions
@@ -35,6 +37,17 @@ def test_fixtures_validate(ad_v1, ad_v2, ad_v3):
 def test_exactly_one_initial_node():
     with pytest.raises(BadDegreeError, match="initial"):
         _ad("activitydiagram t { action a; final f; edge a -> f; }")
+
+
+@pytest.mark.parametrize("nodes", [
+    (Node("a", "action"),),                          # no initial node
+    (Node("i", "initial"), Node("a", "action")),     # one without an out-edge
+])
+def test_unvalidated_diagram_without_a_start_edge_raises_a_validation_error(nodes):
+    # built through the Python API, so validate_ad never saw it
+    ad = ActivityDiagram("loop", (), (), nodes, (Edge("e1", "a", "a"),))
+    with pytest.raises(AdValidationError, match="^loop: "):
+        encode_product(ad, ad)
 
 
 def test_decision_needs_at_least_two_out_edges():

@@ -12,7 +12,7 @@ import pytest
 from conftest import FIXTURES
 from semdiff.ad.diff import ReplayMismatchError
 from semdiff.cd.model import InstanceVerdict
-from semdiff.cli import main
+from semdiff.cli import COMMANDS, main
 from semdiff.oracle import StateBudgetExceededError
 
 CD1 = str(FIXTURES / "cd_v1.cd")
@@ -111,7 +111,7 @@ def test_cddiff_oracle_mismatch_exits_3(capsys, monkeypatch):
         def keys(self):
             return []
 
-    monkeypatch.setattr("semdiff.cli.cd_enumerate_all",
+    monkeypatch.setattr("semdiff.oracle.cd_enumerate_all",
                         lambda cd1, cd2, scope: Disagreeing())
     code, _, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", "--oracle")
     assert code == 3
@@ -280,9 +280,87 @@ def test_missing_file(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
-    assert run(capsys)[0] == 2
-    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, "frobnicate") == (
+        2, "", "error: expected a command (cddiff, addiff, check), got frobnicate\n")
+    assert run(capsys)[:2] == (2, "")
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: semdiff cddiff LEFT RIGHT ")
+
+
+# each usage error, wherever on the line it sits: status 2, nothing on
+# stdout, one `error:` line that names the bad argument
+@pytest.mark.parametrize("argv, line", [
+    ([], "expected a command (cddiff, addiff, check), got nothing"),
+    (["frobnicate", CD1, CD2], "expected a command (cddiff, addiff, check), got frobnicate"),
+    (["cddiff", CD1], "cddiff: missing RIGHT"),
+    (["check", OM1, CD2, CD1], f"check: unexpected argument {CD1}"),
+    (["cddiff", "--bogus", CD1, CD2], "unrecognized option --bogus"),
+    (["cddiff", CD1, CD2, "--s", "3"], "ambiguous option --s (could be --scope, --summarize)"),
+    (["addiff", AD1, AD2, "--format"], "option --format needs a value"),
+    (["cddiff", CD1, CD2, "--scope", "--oracle"], "option --scope needs a value"),
+    (["cddiff", CD1, CD2, "--summarize", "action-set"],
+     "option --summarize: invalid choice action-set (choose from class-set, none)"),
+    (["addiff", AD1, AD2, "--format=xml"],
+     "option --format: invalid choice xml (choose from text, json-lines)"),
+    (["cddiff", CD1, CD2, "--scope", "x"], "option --scope: must be at least 1, got x"),
+    (["cddiff", CD1, CD2, "--scope", "0"], "option --scope: must be at least 1, got 0"),
+    (["cddiff", CD1, CD2, "--limit", "-1"], "option --limit: must be at least 1, got -1"),
+    (["addiff", AD1, AD2, "--oracle=yes"], "option --oracle takes no value"),
+])
+def test_usage_error_is_one_error_line(capsys, argv, line):
+    assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
+# each spelling gives the status and stdout of the plain one
+@pytest.mark.parametrize("argv, plain", [
+    (["cddiff", CD2, CD1, "--scope=3"], ["cddiff", CD2, CD1, "--scope", "3"]),
+    (["cddiff", "--scope", "3", CD2, CD1], ["cddiff", CD2, CD1, "--scope", "3"]),
+    (["cddiff", CD2, "--scope", "3", CD1], ["cddiff", CD2, CD1, "--scope", "3"]),
+    (["cddiff", CD2, CD1, "--sco", "3"], ["cddiff", CD2, CD1, "--scope", "3"]),
+    (["cddiff", CD2, CD1, "--no-sum", "--lim=2", "--form", "json-lines"],
+     ["cddiff", CD2, CD1, "--no-summary", "--limit", "2", "--format", "json-lines"]),
+    (["addiff", AD2, AD1, "--no-sum"], ["addiff", AD2, AD1, "--no-summary"]),
+    (["addiff", AD3, AD2, "--summarize", "action-set", "--no-summary"],
+     ["addiff", AD3, AD2, "--no-summary"]),
+    (["addiff", AD3, AD2, "--no-summary", "--summarize", "action-set"],
+     ["addiff", AD3, AD2, "--summarize", "action-set"]),
+    (["addiff", "--both", "--", AD3, AD2], ["addiff", AD3, AD2, "--both"]),
+    (["check", OM1, "--", CD1], ["check", OM1, CD1]),
+])
+def test_accepted_spellings_match_the_plain_one(capsys, argv, plain):
+    code, out, err = run(capsys, *plain)
+    assert code in (0, 1) and out
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_last_of_summarize_and_no_summary_wins(capsys):
+    # the two plain spellings above differ, so neither option is ignored
+    assert (run(capsys, "addiff", AD3, AD2, "--no-summary")
+            != run(capsys, "addiff", AD3, AD2, "--summarize", "action-set"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([name, flag] for name in COMMANDS for flag in ("-h", "--help")),
+    ["cddiff", CD1, "--scope", "3", "--help"],
+])
+def test_help_prints_the_synopsis(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    shown = [argv[0]] if argv[0] in COMMANDS else list(COMMANDS)
+    usages = [ln.split() for ln in out.splitlines() if ln.startswith("usage: ")]
+    assert [words[2] for words in usages] == shown
+    for words, name in zip(usages, shown):
+        assert "[-h]" in words
+        for option in COMMANDS[name][3]:
+            assert any(w.startswith(f"[{option}") for w in words), option
+
+
+def test_readme_shows_the_synopsis_help_prints(capsys):
+    usages = [ln for ln in run(capsys, "--help")[1].splitlines() if ln.startswith("usage: ")]
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    assert usages and all(ln in readme for ln in usages)
 
 
 # -- limits and internal errors ---------------------------------------------------
@@ -344,7 +422,7 @@ def test_oracle_state_budget_exits_4(capsys, monkeypatch):
     def exhausted(ad1, ad2):
         raise StateBudgetExceededError("state budget exceeded")
 
-    monkeypatch.setattr("semdiff.cli.ad_diff_bfs", exhausted)
+    monkeypatch.setattr("semdiff.oracle.ad_diff_bfs", exhausted)
     code, out, err = run(capsys, "addiff", AD2, AD1, "--oracle")
     assert code == 4
     assert out == ""
@@ -434,11 +512,17 @@ def test_console_script_is_the_process_entry_point():
     assert meta["project"]["scripts"]["semdiff"] == "semdiff.cli:run"
 
 
-def test_importing_the_cli_does_not_load_json():
-    probe = "import sys, semdiff.cli; print('json' in sys.modules)"
+def test_a_plain_run_loads_no_argument_parser_json_or_oracle():
+    # the --oracle and json-lines tests above run the deferred imports
+    runs = [["addiff", AD2, AD1], ["cddiff", CD2, CD1, "--scope", "3"],
+            ["check", OM1, CD1]]
+    probe = ("import sys, semdiff.cli\n"
+             f"print([semdiff.cli.main(argv) for argv in {runs!r}])\n"
+             "print([m for m in ('argparse', 'gettext', 'locale', 'json',\n"
+             "                   'semdiff.oracle') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                          capture_output=True, text=True, check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.splitlines()[-2:] == ["[0, 0, 1]", "[]"]
 
 
 @pytest.mark.parametrize("case", ["small", "fork5"])
