@@ -11,7 +11,8 @@ explicit token semantics turns each of those into a concrete,
 independently checked trace.  Every joint image goes through one
 diagram's relation and then the other's, so a left and a right relation
 never meet in one BDD (the partitioned transition relation of Burch,
-Clarke and Long, 1991).
+Clarke and Long, 1991).  Nodes stay for the whole run, but each stage's
+computed-table entries are dropped when the stage ends.
 
 The pair game computes a simulation-style difference.  It coincides
 with trace difference when the right diagram declares no input the
@@ -459,12 +460,19 @@ class AdDiffResult:
 def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
            *, bit_budget: int = DEFAULT_BIT_BUDGET) -> AdDiffResult:
     """Diff traces of ad1 against ad2: divergences of ad1 the other
-    diagram cannot follow, one symbolic trace per action list."""
+    diagram cannot follow, one symbolic trace per action list.  No stage
+    reads another's computed tables, so each stage's end clears them."""
     enc = encode_product(ad1, ad2, bit_budget=bit_budget)
+    clear = enc.manager.clear_cache
+    clear()
     reach = reachable_pairs(enc)
+    clear()
     exact = trace_exact(enc, reach)
+    clear()
     layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    clear()
     traces = forward_split(enc, layers)
+    clear()
     lists = summarize_action_list(enc, traces, exact=exact)
     return AdDiffResult(
         ad1.name, ad2.name,

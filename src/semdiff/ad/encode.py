@@ -453,12 +453,13 @@ def _compose_closure(m: BddManager, base: int,
     # Prepend silent steps: if firing f rewrites state s to s[w], then
     # T(s, .) includes cond_f(s) and T(s[w], .). Substituting the write
     # constants into T is exactly restrict. Terminates because silent
-    # chains are acyclic.
+    # chains are acyclic. One restrict memo per firing serves every round.
     t = base
+    memos: list[dict[int, int]] = [{} for _ in firings]
     while True:
         new = t
-        for cond, w in firings:
-            new = m.bor(new, m.band(cond, m.restrict(new, w)))
+        for (cond, w), memo in zip(firings, memos):
+            new = m.bor(new, m.band(cond, m.restrict(new, w, memo)))
         if new == t:
             return t
         t = new

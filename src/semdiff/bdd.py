@@ -1,10 +1,11 @@
 """Reduced ordered binary decision diagrams over a shared unique table.
 
-Nodes are plain ints. 0 and 1 are the terminals; every other id names a
-row in the manager's node arrays. The table is hash-consed and children
-are never equal, so two functions are the same iff their root ids are
-the same. Variables are identified by their level in the fixed order;
-there is no dynamic reordering and no complement edges.
+Nodes are plain ints. 0 and 1 are the terminals; every other id u names
+the row _nodes[u], the tuple (level, low, high) that is also u's key in
+the unique table. The table is hash-consed and children are never equal,
+so two functions are the same iff their root ids are the same.
+Variables are identified by their level in the fixed order; there is no
+dynamic reordering and no complement edges.
 
 Each operation keeps its own computed table (Brace, Rudell and Bryant,
 DAC 1990), so no key carries an op tag and no step dispatches on one.
@@ -50,9 +51,8 @@ class _OrderBroken(Exception):
 
 class BddManager:
     def __init__(self) -> None:
-        self._level: list[int] = [_TERMINAL, _TERMINAL]
-        self._low: list[int] = [0, 1]
-        self._high: list[int] = [0, 1]
+        # row u is (level, low, high); a terminal is its own child
+        self._nodes: list[tuple[int, int, int]] = [(_TERMINAL, 0, 0), (_TERMINAL, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
         # computed tables, one per operation
         self._and: dict[tuple[int, int], int] = {}
@@ -127,21 +127,18 @@ class BddManager:
         hit = self._unique.get(key)
         if hit is not None:
             return hit
-        idx = len(self._level)
-        self._level.append(level)
-        self._low.append(low)
-        self._high.append(high)
+        idx = len(self._nodes)
+        self._nodes.append(key)
         self._unique[key] = idx
         return idx
 
     def _cof(self, u: int, level: int) -> tuple[int, int]:
-        if self._level[u] == level:
-            return self._low[u], self._high[u]
-        return u, u
+        lvl, low, high = self._nodes[u]
+        return (low, high) if lvl == level else (u, u)
 
     # band, bor and bxor: each has its own terminal cases and its own
     # table under the ordered operand pair; a miss takes one Shannon step
-    # on the top level, reading the children straight from the arrays.
+    # on the top level, reading the children straight from the rows.
 
     def band(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -184,13 +181,13 @@ class BddManager:
         return hit
 
     def _shannon(self, op, a: int, b: int) -> int:
-        la, lb = self._level[a], self._level[b]
+        la, a0, a1 = self._nodes[a]
+        lb, b0, b1 = self._nodes[b]
         if la == lb:
-            return self._make(la, op(self._low[a], self._low[b]),
-                              op(self._high[a], self._high[b]))
+            return self._make(la, op(a0, b0), op(a1, b1))
         if la < lb:
-            return self._make(la, op(self._low[a], b), op(self._high[a], b))
-        return self._make(lb, op(a, self._low[b]), op(a, self._high[b]))
+            return self._make(la, op(a0, b), op(a1, b))
+        return self._make(lb, op(a, b0), op(a, b1))
 
     def bnot(self, a: int) -> int:
         if a < 2:
@@ -198,7 +195,8 @@ class BddManager:
         hit = self._not.get(a)
         if hit is not None:
             return hit
-        r = self._make(self._level[a], self.bnot(self._low[a]), self.bnot(self._high[a]))
+        lvl, low, high = self._nodes[a]
+        r = self._make(lvl, self.bnot(low), self.bnot(high))
         # negation is an involution, so one traversal answers both ways
         self._not[a] = r
         self._not[r] = a
@@ -229,7 +227,7 @@ class BddManager:
     def _exists(self, u: int, qid: int, qs: tuple[int, ...]) -> int:
         if u < 2:
             return u
-        lvl = self._level[u]
+        lvl, low, high = self._nodes[u]
         i = bisect_left(qs, lvl)
         if i == len(qs):
             return u
@@ -237,11 +235,10 @@ class BddManager:
         if hit is not None:
             return hit
         if qs[i] == lvl:
-            r0 = self._exists(self._low[u], qid, qs)
-            r = TRUE if r0 == TRUE else self.bor(r0, self._exists(self._high[u], qid, qs))
+            r0 = self._exists(low, qid, qs)
+            r = TRUE if r0 == TRUE else self.bor(r0, self._exists(high, qid, qs))
         else:
-            r = self._make(lvl, self._exists(self._low[u], qid, qs),
-                           self._exists(self._high[u], qid, qs))
+            r = self._make(lvl, self._exists(low, qid, qs), self._exists(high, qid, qs))
         self._ex[u, qid] = r
         return r
 
@@ -260,7 +257,8 @@ class BddManager:
             return 1
         if a > b:
             a, b = b, a
-        la, lb = self._level[a], self._level[b]
+        la, a0, a1 = self._nodes[a]
+        lb, b0, b1 = self._nodes[b]
         lvl = la if la < lb else lb
         i = bisect_left(qs, lvl)
         if i == len(qs):
@@ -269,8 +267,8 @@ class BddManager:
         hit = self._ae.get(key)
         if hit is not None:
             return hit
-        a0, a1 = (self._low[a], self._high[a]) if la == lvl else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if lb == lvl else (b, b)
+        a0, a1 = (a0, a1) if la == lvl else (a, a)
+        b0, b1 = (b0, b1) if lb == lvl else (b, b)
         if qs[i] == lvl:
             r0 = self._and_exists(a0, b0, qid, qs)
             r = TRUE if r0 == TRUE else self.bor(r0, self._and_exists(a1, b1, qid, qs))
@@ -291,13 +289,13 @@ class BddManager:
     def _branching(self, u: int, qid: int, qs: tuple[int, ...], above: int) -> int:
         # above: the level of u's parent on this path, -1 at the root
         i = bisect_left(qs, above + 1)
-        if i < len(qs) and qs[i] < self._level[u]:
+        lvl, low, high = self._nodes[u]
+        if i < len(qs) and qs[i] < lvl:
             return self._exists(u, qid, qs)
         if u < 2 or i == len(qs):
             return FALSE
         hit = self._br.get((u, qid))
         if hit is None:
-            lvl, low, high = self._level[u], self._low[u], self._high[u]
             r0 = self._branching(low, qid, qs, lvl)
             r1 = self._branching(high, qid, qs, lvl)
             if qs[i] == lvl:
@@ -335,11 +333,12 @@ class BddManager:
         hit = memo.get(x)
         if hit is not None:
             return hit
-        level = self._level
-        lvl = mapping.get(level[x], level[x])
-        r0 = self._rename_ordered(self._low[x], mapping, memo)
-        r1 = self._rename_ordered(self._high[x], mapping, memo)
-        if lvl >= level[r0] or lvl >= level[r1]:
+        nodes = self._nodes
+        lvl, low, high = nodes[x]
+        lvl = mapping.get(lvl, lvl)
+        r0 = self._rename_ordered(low, mapping, memo)
+        r1 = self._rename_ordered(high, mapping, memo)
+        if lvl >= nodes[r0][0] or lvl >= nodes[r1][0]:
             raise _OrderBroken
         r = memo[x] = self._make(lvl, r0, r1)
         return r
@@ -350,15 +349,17 @@ class BddManager:
         hit = memo.get(x)
         if hit is not None:
             return hit
-        lvl = mapping.get(self._level[x], self._level[x])
-        r = memo[x] = self.ite(self.var(lvl), self._rename_ite(self._high[x], mapping, memo),
-                               self._rename_ite(self._low[x], mapping, memo))
+        lvl, low, high = self._nodes[x]
+        v = self.var(mapping.get(lvl, lvl))
+        r = memo[x] = self.ite(v, self._rename_ite(high, mapping, memo),
+                               self._rename_ite(low, mapping, memo))
         return r
 
-    def restrict(self, u: int, consts: dict[int, bool]) -> int:
+    def restrict(self, u: int, consts: dict[int, bool], memo: dict[int, int] | None = None) -> int:
+        """One memo may serve every call with the same consts: nodes never change."""
         for lvl in consts:
             self._check_level(lvl)
-        return self._restrict(u, consts, {})
+        return self._restrict(u, consts, {} if memo is None else memo)
 
     def _restrict(self, x: int, consts: dict[int, bool], memo: dict[int, int]) -> int:
         if x < 2:
@@ -366,12 +367,12 @@ class BddManager:
         hit = memo.get(x)
         if hit is not None:
             return hit
-        lvl = self._level[x]
+        lvl, low, high = self._nodes[x]
         if lvl in consts:
-            r = self._restrict(self._high[x] if consts[lvl] else self._low[x], consts, memo)
+            r = self._restrict(high if consts[lvl] else low, consts, memo)
         else:
-            r = self._make(lvl, self._restrict(self._low[x], consts, memo),
-                           self._restrict(self._high[x], consts, memo))
+            r = self._make(lvl, self._restrict(low, consts, memo),
+                           self._restrict(high, consts, memo))
         memo[x] = r
         return r
 
@@ -386,17 +387,17 @@ class BddManager:
             if x < 2 or x in seen:
                 continue
             seen.add(x)
-            out.add(self._level[x])
-            stack.append(self._low[x])
-            stack.append(self._high[x])
+            lvl, low, high = self._nodes[x]
+            out.add(lvl)
+            stack += (low, high)
         return tuple(sorted(out))
 
     def eval_node(self, u: int, assignment: dict[int, bool]) -> bool:
         while u > 1:
-            lvl = self._level[u]
+            lvl, low, high = self._nodes[u]
             if lvl not in assignment:
                 raise BddError(f"variable {self._names[lvl]} (level {lvl}) is unassigned")
-            u = self._high[u] if assignment[lvl] else self._low[u]
+            u = high if assignment[lvl] else low
         return u == TRUE
 
     def cube(self, literals: dict[int, bool]) -> int:
@@ -416,9 +417,7 @@ class BddManager:
         for it in items:
             if isinstance(it, VarBundle):
                 u = self.band(u, self.domain_cube(it))
-        qs = tuple(sorted(set(self._as_levels(items))))
-        for lvl in qs:
-            self._check_level(lvl)
+        qs = self._intern_qset(items)[1]
         covered = set(qs)
         missing = [lvl for lvl in self.support(u) if lvl not in covered]
         if missing:
@@ -432,19 +431,19 @@ class BddManager:
             hit = memo.get(x)
             if hit is not None:
                 return hit
-            r = rank[self._level[x]]
+            r = rank[self._nodes[x][0]]
             total = 0
-            for child in (self._low[x], self._high[x]):
+            for child in self._nodes[x][1:]:
                 if child < 2:
                     total += child << (n - r - 1)
                 else:
-                    total += below(child) << (rank[self._level[child]] - r - 1)
+                    total += below(child) << (rank[self._nodes[child][0]] - r - 1)
             memo[x] = total
             return total
 
         if u < 2:
             return u << n
-        return below(u) << rank[self._level[u]]
+        return below(u) << rank[self._nodes[u][0]]
 
     def pick_one(self, u: int, bundles) -> dict[str, int]:
         """Lexicographically least valuation of the bundles, in list order."""
@@ -462,31 +461,28 @@ class BddManager:
             raise EmptySetError("pick_assignment on the empty set")
         path: dict[int, bool] = {}
         while u > 1:
-            if self._low[u] != FALSE:
-                path[self._level[u]] = False
-                u = self._low[u]
-            else:
-                path[self._level[u]] = True
-                u = self._high[u]
+            lvl, low, high = self._nodes[u]
+            path[lvl] = low == FALSE
+            u = high if low == FALSE else low
         return path
 
     def audit(self) -> dict[str, int]:
         """Verify table invariants; raises BddError on any breach."""
-        n = len(self._level)
-        if not (len(self._low) == len(self._high) == n):
-            raise BddError("node arrays out of sync")
+        nodes = self._nodes
+        n = len(nodes)
         if len(self._unique) != n - 2:
             raise BddError("unique table entry count does not match node count")
-        for (lvl, low, high), idx in self._unique.items():
+        for key, idx in self._unique.items():
             if not 2 <= idx < n:
                 raise BddError(f"table points at invalid node {idx}")
-            if (self._level[idx], self._low[idx], self._high[idx]) != (lvl, low, high):
+            if nodes[idx] != key:
                 raise BddError(f"table key disagrees with node {idx}")
+            lvl, low, high = key
             if low == high:
                 raise BddError(f"node {idx} has equal children")
             if not (0 <= low < n and 0 <= high < n):
                 raise BddError(f"node {idx} has a dangling child")
-            if self._level[low] <= lvl or self._level[high] <= lvl:
+            if nodes[low][0] <= lvl or nodes[high][0] <= lvl:
                 raise BddError(f"node {idx} breaks the level order")
         return {
             "nodes": n,
@@ -496,6 +492,7 @@ class BddManager:
         }
 
     def clear_cache(self) -> None:
+        """Empty the computed tables, keeping every node; addiff calls it per stage."""
         for t in self._tables:
             t.clear()
 

@@ -227,36 +227,35 @@ class InstanceVerdict:
         return self.ok
 
 
-def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
-    """Full closed-world instance check with the complete violation list."""
-    out: list[Violation] = []
+def _violations(om: ObjectModel, cd: ClassDiagram):
+    """The instance check's violations in report order, built lazily."""
     for oid, cls in om.objects:
         decl = cd.decl(cls)
         if decl is None:
-            out.append(Violation("unknown-class", f"{oid} : {cls} is not declared in {cd.name}", obj=oid))
+            yield Violation("unknown-class", f"{oid} : {cls} is not declared in {cd.name}", obj=oid)
         elif decl.abstract:
-            out.append(Violation("abstract-class", f"{oid} instantiates abstract class {cls}", obj=oid))
+            yield Violation("abstract-class", f"{oid} instantiates abstract class {cls}", obj=oid)
 
     cls_of = dict(reversed(om.objects))  # the first declaration of an id wins
     for ln in om.links:
         asc = cd.association(ln.association)
         if asc is None:
-            out.append(Violation("unknown-association",
-                                 f"link {ln.association} is not declared in {cd.name}",
-                                 association=ln.association))
+            yield Violation("unknown-association",
+                            f"link {ln.association} is not declared in {cd.name}",
+                            association=ln.association)
             continue
         ca = cls_of.get(ln.obj_a)
         cb = cls_of.get(ln.obj_b)
         if ca is None or not conforms(cd, ca, asc.class_a):
-            out.append(Violation("endpoint",
-                                 f"{ln.obj_a} does not conform to {asc.class_a} "
-                                 f"(position A of {asc.name})",
-                                 association=asc.name, obj=ln.obj_a))
+            yield Violation("endpoint",
+                            f"{ln.obj_a} does not conform to {asc.class_a} "
+                            f"(position A of {asc.name})",
+                            association=asc.name, obj=ln.obj_a)
         if cb is None or not conforms(cd, cb, asc.class_b):
-            out.append(Violation("endpoint",
-                                 f"{ln.obj_b} does not conform to {asc.class_b} "
-                                 f"(position B of {asc.name})",
-                                 association=asc.name, obj=ln.obj_b))
+            yield Violation("endpoint",
+                            f"{ln.obj_b} does not conform to {asc.class_b} "
+                            f"(position B of {asc.name})",
+                            association=asc.name, obj=ln.obj_b)
 
     # Multiplicities.  A self-link counts once per position.
     a_deg = Counter((ln.association, ln.obj_a) for ln in om.links)
@@ -266,24 +265,29 @@ def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
             if conforms(cd, cls, asc.class_a):
                 n = a_deg[asc.name, oid]
                 if not asc.mult_b.contains(n):
-                    out.append(Violation(
+                    yield Violation(
                         "multiplicity",
                         f"{oid} has {n} {asc.class_b} partner(s) via {asc.name}, "
                         f"multiplicity is [{asc.mult_b}]",
-                        association=asc.name, obj=oid))
+                        association=asc.name, obj=oid)
             if conforms(cd, cls, asc.class_b):
                 n = b_deg[asc.name, oid]
                 if not asc.mult_a.contains(n):
-                    out.append(Violation(
+                    yield Violation(
                         "multiplicity",
                         f"{oid} has {n} {asc.class_a} partner(s) via {asc.name}, "
                         f"multiplicity is [{asc.mult_a}]",
-                        association=asc.name, obj=oid))
-    return InstanceVerdict(not out, tuple(out))
+                        association=asc.name, obj=oid)
+
+
+def check_instance(om: ObjectModel, cd: ClassDiagram) -> InstanceVerdict:
+    """Full closed-world instance check with the complete violation list."""
+    out = tuple(_violations(om, cd))
+    return InstanceVerdict(not out, out)
 
 
 def is_instance(om: ObjectModel, cd: ClassDiagram) -> bool:
-    return check_instance(om, cd).ok
+    return next(_violations(om, cd), None) is None
 
 
 def classes_of(om: ObjectModel) -> tuple[str, ...]:

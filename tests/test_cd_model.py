@@ -5,6 +5,7 @@ import pytest
 from semdiff.cd import (Association, ClassDecl, ClassDiagram, Link, MultRange,
                         ObjectModel, check_instance, classes_of, conforms,
                         is_instance, validate_cd, validate_om)
+from semdiff.cd import model
 from semdiff.cd.model import (BadMultiplicityError, DanglingReferenceError,
                               DuplicateNameError, InheritanceCycleError,
                               OdValidationError, UNBOUNDED)
@@ -166,3 +167,65 @@ def test_subclass_objects_are_counted_for_superclass_ends(cd_v2):
 
 def test_classes_of_sorted_and_deduped(om1):
     assert classes_of(om1) == ("Employee", "Manager", "Task")
+
+
+# ------------------------------------------------------------ lazy violations
+
+EVERY_KIND_CD = ("classdiagram t { class A abstract; class B extends A; class C;"
+                 " association m [1] A -- C [0..1]; }")
+EVERY_KIND_OM = ("objectdiagram o { a : A; x : Alien; b : B; c1 : C; c2 : C;"
+                 " link m c1 -- b; link m b -- c1; link m b -- c2; link q b -- c1; }")
+
+
+def _rows(verdict):
+    return [(v.kind, v.message, v.association, v.obj) for v in verdict.violations]
+
+
+def test_violations_of_every_kind_keep_their_order():
+    verdict = check_instance(parse_od(EVERY_KIND_OM), parse_cd(EVERY_KIND_CD))
+    assert not verdict.ok
+    assert _rows(verdict) == [
+        ("abstract-class", "a instantiates abstract class A", None, "a"),
+        ("unknown-class", "x : Alien is not declared in t", None, "x"),
+        ("endpoint", "c1 does not conform to A (position A of m)", "m", "c1"),
+        ("endpoint", "b does not conform to C (position B of m)", "m", "b"),
+        ("unknown-association", "link q is not declared in t", "q", None),
+        ("multiplicity", "b has 2 C partner(s) via m, multiplicity is [0..1]", "m", "b"),
+    ]
+
+
+def test_fixture_violations_are_unchanged(om1, om2, empty_om, cd_v1, cd_v2):
+    endpoint = ("endpoint", "m1 does not conform to Employee (position B of manages)",
+                "manages", "m1")
+    handles = ("multiplicity", "e1 has 3 Task partner(s) via handles, multiplicity is [0..2]",
+               "handles", "e1")
+    assert _rows(check_instance(om1, cd_v1)) == [endpoint, handles]
+    assert _rows(check_instance(om2, cd_v1)) == [endpoint]
+    for om, cd in ((om1, cd_v2), (om2, cd_v2), (empty_om, cd_v1), (empty_om, cd_v2)):
+        assert check_instance(om, cd).ok and _rows(check_instance(om, cd)) == []
+
+
+def test_is_instance_agrees_with_check_instance_on_the_fixtures(om1, om2, empty_om,
+                                                                cd_v1, cd_v2):
+    every_kind = parse_od(EVERY_KIND_OM), parse_cd(EVERY_KIND_CD)
+    pairs = [(om, cd) for om in (om1, om2, empty_om) for cd in (cd_v1, cd_v2)]
+    for om, cd in pairs + [every_kind]:
+        assert is_instance(om, cd) == check_instance(om, cd).ok
+
+
+def test_is_instance_stops_at_the_first_violation(monkeypatch):
+    built = []
+    real = model.Violation
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model, "Violation", counted)
+    cd = parse_cd(EVERY_KIND_CD)
+    om = parse_od("objectdiagram o { a : A; x : Alien; link q a -- x; }")
+    assert len(check_instance(om, cd).violations) == 3
+    assert built == ["abstract-class", "unknown-class", "unknown-association"]
+    built.clear()
+    assert not is_instance(om, cd)
+    assert len(built) <= 1

@@ -268,3 +268,22 @@ def test_a_changed_endpoint_alone_is_not_covered():
     assert _covered(cd2, cd1, cd2.concrete_classes())
     assert [e.key.names for e in cddiff_summary(cd1, cd2, SCOPE).entries] == \
         cd_enumerate_all(cd1, cd2, SCOPE).keys() == [("A", "B", "C"), ("B", "C")]
+
+
+def _instance_verdicts(seed: int) -> list[tuple[bool, bool]]:
+    """(is_instance, check_instance(...).ok) for every model of either
+    diagram up to two objects, checked against both diagrams."""
+    cd1, cd2 = random_pair(seed)
+    return [(is_instance(om, cd), check_instance(om, cd).ok)
+            for source in (cd1, cd2) for om in enumerate_object_models(source, 2)
+            for cd in (cd1, cd2)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_is_instance_agrees_with_check_instance(seed):
+    verdicts = _instance_verdicts(seed)
+    assert verdicts and all(lazy == full for lazy, full in verdicts)
+
+
+def test_instance_verdicts_cover_both_answers():
+    assert {full for seed in SEEDS for _, full in _instance_verdicts(seed)} == {True, False}
