@@ -18,7 +18,12 @@ The pair game computes a simulation-style difference.  It coincides
 with trace difference when the right diagram declares no input the
 left one lacks and is observably deterministic, under the actions both
 diagrams take, at every state a joint run reaches (see trace_exact);
-results are labelled accordingly.
+results are labelled accordingly.  That determinism is checked once per
+run, and it also decides how the layers grow: with one right reply per
+enabled shared action, "every reply" equals "the one reply", the game
+is a plain joint pre-image (trace inclusion into a deterministic
+system is forward simulation; Lynch and Vaandrager, 1995), and each
+round images only the newest frontier (see backward_fixpoint).
 """
 
 from __future__ import annotations
@@ -134,7 +139,8 @@ def reachable_pairs(enc: ProductEncoding) -> int:
     return reach
 
 
-def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int) -> DiffLayers:
+def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
+                      deterministic: bool = False) -> DiffLayers:
     """Least fixpoint of the one-step forcing operator over d0, played on
     reach, the pairs reachable_pairs returns.
 
@@ -145,13 +151,51 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int) -> DiffLayers:
     through the step untouched.  The step at a reachable pair reads only
     that pair's successors, which are reachable too, so each layer is
     exactly the unrestricted layer intersected with reach.
+
+    deterministic states that no pair of reach has a right half with two
+    successors under one shared action (right_deterministic).  Then an
+    enabled right move has exactly one reply, so "every reply lands in
+    layer k" is "some reply does": ∀ equals ∃, and the operator is the
+    plain joint pre-image of layer k.  A pre-image distributes over
+    union, and the pre-image of every older layer is already inside
+    layer k, so each new frontier is the pre-image of the last one
+    alone, less the layers so far (frontier-set iteration; Coudert,
+    Berthet and Madre, 1989), and no layer is ever negated.  Both ways
+    yield the same sets, hence the same nodes; the game stays the
+    reference, and the only way, when some reachable right state
+    branches.
     """
+    d = enc.manager.band(d0, reach)
+    grow = _preimage_layers if deterministic else _game_layers
+    return DiffLayers(enc.manager, tuple(grow(enc, d, reach)))
+
+
+def _preimage_layers(enc: ProductEncoding, d: int, reach: int) -> list[int]:
+    """backward_fixpoint's layers from base d when the right diagram is
+    deterministic on reach: each round images only the newest frontier."""
     m = enc.manager
     ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
-    nxt1 = enc.left.next_levels()
-    nxt2 = enc.right.next_levels()
+    nxt1, nxt2 = enc.left.next_levels(), enc.right.next_levels()
+    moves = _shared_moves(enc)
+    layers = [d]
+    frontier = d
+    while True:
+        moved = m.rename(frontier, ren)
+        pre = FALSE
+        for _, t1, t2 in moves:
+            pre = m.bor(pre, m.and_exists(t1, m.and_exists(t2, moved, nxt2), nxt1))
+        frontier = m.bdiff(m.band(pre, reach), d)
+        if frontier == FALSE:
+            return layers
+        d = m.bor(d, frontier)
+        layers.append(d)
 
-    d = m.band(d0, reach)
+
+def _game_layers(enc: ProductEncoding, d: int, reach: int) -> list[int]:
+    """backward_fixpoint's layers from base d by the forcing game."""
+    m = enc.manager
+    ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
+    nxt1, nxt2 = enc.left.next_levels(), enc.right.next_levels()
     layers = [d]
     while True:
         outside = m.bnot(m.rename(d, ren))
@@ -167,10 +211,9 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int) -> DiffLayers:
             step = m.bor(step, m.and_exists(t1, m.band(en2, replies), nxt1))
         new = m.bor(d, m.band(step, reach))
         if new == d:
-            break
+            return layers
         layers.append(new)
         d = new
-    return DiffLayers(m, tuple(layers))
 
 
 def initial_diff_states(enc: ProductEncoding, layers: DiffLayers) -> int:
@@ -273,26 +316,35 @@ def _input_family(enc: ProductEncoding, actions: tuple[str, ...],
                          product == node, enc.report_bundles)
 
 
-def trace_exact(enc: ProductEncoding, reach: int) -> bool:
+def right_deterministic(enc: ProductEncoding, reach: int) -> bool:
+    """Does no pair of reach, the jointly reachable pairs, have a right
+    half with two successors under one action both diagrams take?  One
+    branching pass per shared action."""
+    m, nxt2 = enc.manager, enc.right.next_levels()
+    return all(m.band(m.branching(t2, nxt2), reach) == FALSE
+               for _, _, t2 in _shared_moves(enc))
+
+
+def trace_exact(enc: ProductEncoding, reach: int,
+                deterministic: bool | None = None) -> bool:
     """Does the pair game decide trace difference for this direction?
 
     Yes when the right diagram declares no input the left one lacks and
-    is deterministic on reach under the shared actions: no jointly
-    reachable pair has a right half with two successors under one action
-    both diagrams take (branching, one pass per action).  The game
-    decides simulation.  With every right input shared, the pairing
-    fixes the right start state, and each right state along the matched
-    prefix of a left trace is the right half of a jointly reachable
-    pair; a right run matching that prefix takes only left actions, so
-    with one successor under each, the right diagram has one run along
-    the prefix at most, and simulation is trace inclusion.  An input
-    only the right side declares is a choice the pairing leaves open, so
-    it keeps the answer at simulation.
+    is deterministic on reach under the shared actions
+    (right_deterministic; a caller that has its answer passes it as
+    deterministic).  The game decides simulation.  With every right
+    input shared, the pairing fixes the right start state, and each
+    right state along the matched prefix of a left trace is the right
+    half of a jointly reachable pair; a right run matching that prefix
+    takes only left actions, so with one successor under each, the
+    right diagram has one run along the prefix at most, and simulation
+    is trace inclusion.  An input only the right side declares is a
+    choice the pairing leaves open, so it keeps the answer at
+    simulation.
     """
-    m, nxt2 = enc.manager, enc.right.next_levels()
-    return ({v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}
-            and all(m.band(m.branching(t2, nxt2), reach) == FALSE
-                    for _, _, t2 in _shared_moves(enc)))
+    if not {v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}:
+        return False
+    return right_deterministic(enc, reach) if deterministic is None else deterministic
 
 
 def render_inputs(st: SymbolicTrace) -> str:
@@ -365,13 +417,19 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
     set and must match every proper prefix but not the final action;
     under simulation semantics those two checks do not hold in general
     and are skipped.  Any violated check raises ReplayMismatchError.
-    Start configurations and steps come from the encoding's caches;
+    The valuation and its rendering are computed once per input set, and
+    start configurations and steps come from the encoding's caches;
     every trace is still replayed.
     """
-    m = enc.manager
-    chosen = m.pick_one(st.init_inputs.node, list(st.bundles))
     ad1, ad2 = enc.left.ad, enc.right.ad
-    valuation = tuple(sorted((v.name, chosen[v.name]) for v in ad1.inputs))
+    # the rendering reads the node alone: every trace has the report bundles
+    node = st.init_inputs.node
+    hit = enc.inputs.get(node)
+    if hit is None:
+        chosen = enc.manager.pick_one(node, list(st.bundles))
+        hit = enc.inputs[node] = (tuple(sorted((v.name, chosen[v.name]) for v in ad1.inputs)),
+                                  render_inputs(st))
+    valuation, constraint = hit
 
     start = _starts(enc, ad1, valuation)
     if len(start) != 1:
@@ -394,7 +452,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
         raise ReplayMismatchError(
             f"{ad2.name} matches the whole of {list(st.actions)}")
 
-    return DiffTrace(valuation, st.actions, tuple(path), render_inputs(st))
+    return DiffTrace(valuation, st.actions, tuple(path), constraint)
 
 
 def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
@@ -460,16 +518,19 @@ class AdDiffResult:
 def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
            *, bit_budget: int = DEFAULT_BIT_BUDGET) -> AdDiffResult:
     """Diff traces of ad1 against ad2: divergences of ad1 the other
-    diagram cannot follow, one symbolic trace per action list.  No stage
-    reads another's computed tables, so each stage's end clears them."""
+    diagram cannot follow, one symbolic trace per action list.  The
+    right diagram's determinism on the reach, checked once, sets both
+    the semantics label and how the fixpoint grows.  No stage reads
+    another's computed tables, so each stage's end clears them."""
     enc = encode_product(ad1, ad2, bit_budget=bit_budget)
     clear = enc.manager.clear_cache
     clear()
     reach = reachable_pairs(enc)
     clear()
-    exact = trace_exact(enc, reach)
+    deterministic = right_deterministic(enc, reach)
+    exact = trace_exact(enc, reach, deterministic)
     clear()
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, deterministic)
     clear()
     traces = forward_split(enc, layers)
     clear()

@@ -119,6 +119,8 @@ class ProductEncoding:
     steps: dict = field(default_factory=dict)
     # start configurations per (id(diagram), pinned valuation); see ad.diff._starts
     starts: dict = field(default_factory=dict)
+    # least valuation and rendering per input-set node; see ad.diff.concretize
+    inputs: dict = field(default_factory=dict)
 
 
 def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,

@@ -13,12 +13,11 @@ Negation is a memoised traversal that records each result both ways, as
 negation is an involution.  rename rebuilds through the unique table
 while every node stays above its rebuilt children, as under the engine's
 current/next-state maps (each current bit is directly followed by its
-next-state copy); other maps fall back to ite.
+next-state copy); other maps fall back to ite.  The quantifiers find the
+next level to quantify through a table built once per level set.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .record import record as dataclass
 
@@ -65,11 +64,12 @@ class BddManager:
         self._tables = (self._and, self._or, self._xor, self._not, self._ex, self._ae,
                         self._br)
         self._names: list[str] = []
-        self._qsets: dict[tuple[int, ...], int] = {}
+        # sorted quantified levels -> their _intern_qset result
+        self._qsets: dict[tuple[int, ...], tuple[int, tuple[int, ...], dict[int, int]]] = {}
         # Arguments already checked, so a repeated one costs one lookup.
         # Levels are never freed, so a checked argument stays valid; one
         # with a bad level is never stored and raises on every call.
-        self._qargs: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+        self._qargs: dict[tuple, tuple[int, tuple[int, ...], dict[int, int]]] = {}
         self._checked_maps: set[tuple[tuple[int, int], ...]] = set()
 
     # -- variables ---------------------------------------------------
@@ -210,35 +210,47 @@ class BddManager:
 
     # -- quantification ----------------------------------------------
 
-    def _intern_qset(self, levels) -> tuple[int, tuple[int, ...]]:
+    def _intern_qset(self, levels) -> tuple[int, tuple[int, ...], dict[int, int]]:
+        """(id, sorted levels, next-level table) of a quantifier argument.
+
+        The table, built once per level set, maps each level up to the
+        deepest quantified one to the first quantified level at or after
+        it, so a recursive step finds what is left to quantify with one
+        lookup.  A level past the table's end, a terminal's or that of a
+        variable made later, has nothing left below it."""
         key = tuple(levels)
         hit = self._qargs.get(key)
         if hit is None:
             qs = tuple(sorted(set(self._as_levels(key))))
             for lvl in qs:
                 self._check_level(lvl)
-            hit = self._qargs[key] = (self._qsets.setdefault(qs, len(self._qsets)), qs)
+            hit = self._qsets.get(qs)
+            if hit is None:
+                table = {lvl: q for prev, q in zip((-1, *qs), qs)
+                         for lvl in range(prev + 1, q + 1)}
+                hit = self._qsets[qs] = (len(self._qsets), qs, table)
+            self._qargs[key] = hit
         return hit
 
     def exists(self, u: int, levels) -> int:
-        qid, qs = self._intern_qset(levels)
-        return self._exists(u, qid, qs)
+        qid, _, nxt = self._intern_qset(levels)
+        return self._exists(u, qid, nxt)
 
-    def _exists(self, u: int, qid: int, qs: tuple[int, ...]) -> int:
+    def _exists(self, u: int, qid: int, nxt: dict[int, int]) -> int:
         if u < 2:
             return u
         lvl, low, high = self._nodes[u]
-        i = bisect_left(qs, lvl)
-        if i == len(qs):
+        q = nxt.get(lvl)
+        if q is None:
             return u
         hit = self._ex.get((u, qid))
         if hit is not None:
             return hit
-        if qs[i] == lvl:
-            r0 = self._exists(low, qid, qs)
-            r = TRUE if r0 == TRUE else self.bor(r0, self._exists(high, qid, qs))
+        if q == lvl:
+            r0 = self._exists(low, qid, nxt)
+            r = TRUE if r0 == TRUE else self.bor(r0, self._exists(high, qid, nxt))
         else:
-            r = self._make(lvl, self._exists(low, qid, qs), self._exists(high, qid, qs))
+            r = self._make(lvl, self._exists(low, qid, nxt), self._exists(high, qid, nxt))
         self._ex[u, qid] = r
         return r
 
@@ -247,10 +259,10 @@ class BddManager:
 
     def and_exists(self, a: int, b: int, levels) -> int:
         """exists(band(a, b), levels) without building the conjunction."""
-        qid, qs = self._intern_qset(levels)
-        return self._and_exists(a, b, qid, qs)
+        qid, _, nxt = self._intern_qset(levels)
+        return self._and_exists(a, b, qid, nxt)
 
-    def _and_exists(self, a: int, b: int, qid: int, qs: tuple[int, ...]) -> int:
+    def _and_exists(self, a: int, b: int, qid: int, nxt: dict[int, int]) -> int:
         if a == 0 or b == 0:
             return 0
         if a == 1 and b == 1:
@@ -260,8 +272,8 @@ class BddManager:
         la, a0, a1 = self._nodes[a]
         lb, b0, b1 = self._nodes[b]
         lvl = la if la < lb else lb
-        i = bisect_left(qs, lvl)
-        if i == len(qs):
+        q = nxt.get(lvl)
+        if q is None:
             return self.band(a, b)
         key = (a, b, qid)
         hit = self._ae.get(key)
@@ -269,12 +281,12 @@ class BddManager:
             return hit
         a0, a1 = (a0, a1) if la == lvl else (a, a)
         b0, b1 = (b0, b1) if lb == lvl else (b, b)
-        if qs[i] == lvl:
-            r0 = self._and_exists(a0, b0, qid, qs)
-            r = TRUE if r0 == TRUE else self.bor(r0, self._and_exists(a1, b1, qid, qs))
+        if q == lvl:
+            r0 = self._and_exists(a0, b0, qid, nxt)
+            r = TRUE if r0 == TRUE else self.bor(r0, self._and_exists(a1, b1, qid, nxt))
         else:
-            r = self._make(lvl, self._and_exists(a0, b0, qid, qs),
-                           self._and_exists(a1, b1, qid, qs))
+            r = self._make(lvl, self._and_exists(a0, b0, qid, nxt),
+                           self._and_exists(a1, b1, qid, nxt))
         self._ae[key] = r
         return r
 
@@ -283,23 +295,23 @@ class BddManager:
         at least two valuations of levels, in one memoised pass.  A
         quantified level that a path skips is free, so below it one
         solution makes two and the answer is exists."""
-        qid, qs = self._intern_qset(levels)
-        return self._branching(u, qid, qs, -1)
+        qid, _, nxt = self._intern_qset(levels)
+        return self._branching(u, qid, nxt, -1)
 
-    def _branching(self, u: int, qid: int, qs: tuple[int, ...], above: int) -> int:
+    def _branching(self, u: int, qid: int, nxt: dict[int, int], above: int) -> int:
         # above: the level of u's parent on this path, -1 at the root
-        i = bisect_left(qs, above + 1)
+        q = nxt.get(above + 1)
         lvl, low, high = self._nodes[u]
-        if i < len(qs) and qs[i] < lvl:
-            return self._exists(u, qid, qs)
-        if u < 2 or i == len(qs):
+        if q is not None and q < lvl:
+            return self._exists(u, qid, nxt)
+        if u < 2 or q is None:
             return FALSE
         hit = self._br.get((u, qid))
         if hit is None:
-            r0 = self._branching(low, qid, qs, lvl)
-            r1 = self._branching(high, qid, qs, lvl)
-            if qs[i] == lvl:
-                both = self.band(self._exists(low, qid, qs), self._exists(high, qid, qs))
+            r0 = self._branching(low, qid, nxt, lvl)
+            r1 = self._branching(high, qid, nxt, lvl)
+            if q == lvl:
+                both = self.band(self._exists(low, qid, nxt), self._exists(high, qid, nxt))
                 hit = self.bor(self.bor(r0, r1), both)
             else:
                 hit = self._make(lvl, r0, r1)
