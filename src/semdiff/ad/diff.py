@@ -140,7 +140,7 @@ def reachable_pairs(enc: ProductEncoding) -> int:
 
 
 def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
-                      deterministic: bool = False) -> DiffLayers:
+                      deterministic: bool) -> DiffLayers:
     """Least fixpoint of the one-step forcing operator over d0, played on
     reach, the pairs reachable_pairs returns.
 
@@ -152,68 +152,45 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
     that pair's successors, which are reachable too, so each layer is
     exactly the unrestricted layer intersected with reach.
 
-    deterministic states that no pair of reach has a right half with two
-    successors under one shared action (right_deterministic).  Then an
-    enabled right move has exactly one reply, so "every reply lands in
-    layer k" is "some reply does": ∀ equals ∃, and the operator is the
-    plain joint pre-image of layer k.  A pre-image distributes over
-    union, and the pre-image of every older layer is already inside
-    layer k, so each new frontier is the pre-image of the last one
-    alone, less the layers so far (frontier-set iteration; Coudert,
-    Berthet and Madre, 1989), and no layer is ever negated.  Both ways
-    yield the same sets, hence the same nodes; the game stays the
-    reference, and the only way, when some reachable right state
-    branches.
+    deterministic, right_deterministic's answer, picks the step.  When
+    no pair of reach has a right half with two successors under one
+    shared action, an enabled right move has exactly one reply, so
+    "every reply lands in layer k" is "some reply does": ∀ equals ∃, and
+    the step is the plain joint pre-image of layer k.  A pre-image
+    distributes over union, and the pre-image of every older layer is
+    already inside layer k, so the step images the newest frontier
+    alone (frontier-set iteration; Coudert, Berthet and Madre, 1989),
+    and no layer is ever negated.  Both steps yield the same layers,
+    hence the same nodes; the game is the only sound step when some
+    reachable right state branches.
     """
-    d = enc.manager.band(d0, reach)
-    grow = _preimage_layers if deterministic else _game_layers
-    return DiffLayers(enc.manager, tuple(grow(enc, d, reach)))
-
-
-def _preimage_layers(enc: ProductEncoding, d: int, reach: int) -> list[int]:
-    """backward_fixpoint's layers from base d when the right diagram is
-    deterministic on reach: each round images only the newest frontier."""
     m = enc.manager
     ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
     nxt1, nxt2 = enc.left.next_levels(), enc.right.next_levels()
     moves = _shared_moves(enc)
+    d = frontier = m.band(d0, reach)
     layers = [d]
-    frontier = d
     while True:
-        moved = m.rename(frontier, ren)
-        pre = FALSE
-        for _, t1, t2 in moves:
-            pre = m.bor(pre, m.and_exists(t1, m.and_exists(t2, moved, nxt2), nxt1))
-        frontier = m.bdiff(m.band(pre, reach), d)
+        step = FALSE
+        if deterministic:
+            moved = m.rename(frontier, ren)
+            for _, t1, t2 in moves:
+                step = m.bor(step, m.and_exists(t1, m.and_exists(t2, moved, nxt2), nxt1))
+        else:
+            # negated before the rename, so the bdiff below reuses ¬d
+            outside = m.rename(m.bnot(d), ren)
+            for a, t1, t2 in moves:
+                if t1 == FALSE or t2 == FALSE:
+                    # no left move, or divergence already charged to d0
+                    continue
+                replies = m.bnot(m.and_exists(t2, outside, nxt2))
+                step = m.bor(step, m.and_exists(
+                    t1, m.band(enc.right.en_by_action[a], replies), nxt1))
+        frontier = m.bdiff(m.band(step, reach), d)
         if frontier == FALSE:
-            return layers
+            return DiffLayers(m, tuple(layers))
         d = m.bor(d, frontier)
         layers.append(d)
-
-
-def _game_layers(enc: ProductEncoding, d: int, reach: int) -> list[int]:
-    """backward_fixpoint's layers from base d by the forcing game."""
-    m = enc.manager
-    ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
-    nxt1, nxt2 = enc.left.next_levels(), enc.right.next_levels()
-    layers = [d]
-    while True:
-        outside = m.bnot(m.rename(d, ren))
-        step = FALSE
-        for a in enc.alphabet:
-            t1 = enc.left.t_by_action.get(a, FALSE)
-            en2 = enc.right.en_by_action.get(a, FALSE)
-            if t1 == FALSE or en2 == FALSE:
-                # no left move, or divergence already charged to d0
-                continue
-            t2 = enc.right.t_by_action[a]
-            replies = m.bnot(m.and_exists(t2, outside, nxt2))
-            step = m.bor(step, m.and_exists(t1, m.band(en2, replies), nxt1))
-        new = m.bor(d, m.band(step, reach))
-        if new == d:
-            return layers
-        layers.append(new)
-        d = new
 
 
 def initial_diff_states(enc: ProductEncoding, layers: DiffLayers) -> int:
@@ -325,14 +302,13 @@ def right_deterministic(enc: ProductEncoding, reach: int) -> bool:
                for _, _, t2 in _shared_moves(enc))
 
 
-def trace_exact(enc: ProductEncoding, reach: int,
-                deterministic: bool | None = None) -> bool:
+def trace_exact(enc: ProductEncoding, deterministic: bool) -> bool:
     """Does the pair game decide trace difference for this direction?
 
     Yes when the right diagram declares no input the left one lacks and
-    is deterministic on reach under the shared actions
-    (right_deterministic; a caller that has its answer passes it as
-    deterministic).  The game decides simulation.  With every right
+    is deterministic on the jointly reachable pairs under the shared
+    actions, which is right_deterministic's answer, passed as
+    deterministic.  The game decides simulation.  With every right
     input shared, the pairing fixes the right start state, and each
     right state along the matched prefix of a left trace is the right
     half of a jointly reachable pair; a right run matching that prefix
@@ -342,9 +318,8 @@ def trace_exact(enc: ProductEncoding, reach: int,
     choice the pairing leaves open, so it keeps the answer at
     simulation.
     """
-    if not {v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}:
-        return False
-    return right_deterministic(enc, reach) if deterministic is None else deterministic
+    return deterministic and \
+        {v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}
 
 
 def render_inputs(st: SymbolicTrace) -> str:
@@ -528,7 +503,7 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     reach = reachable_pairs(enc)
     clear()
     deterministic = right_deterministic(enc, reach)
-    exact = trace_exact(enc, reach, deterministic)
+    exact = trace_exact(enc, deterministic)
     clear()
     layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, deterministic)
     clear()

@@ -8,7 +8,8 @@ Variables are identified by their level in the fixed order; there is no
 dynamic reordering and no complement edges.
 
 Each operation keeps its own computed table (Brace, Rudell and Bryant,
-DAC 1990), so no key carries an op tag and no step dispatches on one.
+DAC 1990), so no key carries an op tag and no step dispatches on one;
+exists is and_exists with a TRUE operand and shares its table.
 Negation is a memoised traversal that records each result both ways, as
 negation is an involution.  rename rebuilds through the unique table
 while every node stays above its rebuilt children, as under the engine's
@@ -58,11 +59,9 @@ class BddManager:
         self._or: dict[tuple[int, int], int] = {}
         self._xor: dict[tuple[int, int], int] = {}
         self._not: dict[int, int] = {}
-        self._ex: dict[tuple[int, int], int] = {}
         self._ae: dict[tuple[int, int, int], int] = {}
         self._br: dict[tuple[int, int], int] = {}
-        self._tables = (self._and, self._or, self._xor, self._not, self._ex, self._ae,
-                        self._br)
+        self._tables = (self._and, self._or, self._xor, self._not, self._ae, self._br)
         self._names: list[str] = []
         # sorted quantified levels -> their _intern_qset result
         self._qsets: dict[tuple[int, ...], tuple[int, tuple[int, ...], dict[int, int]]] = {}
@@ -233,26 +232,7 @@ class BddManager:
         return hit
 
     def exists(self, u: int, levels) -> int:
-        qid, _, nxt = self._intern_qset(levels)
-        return self._exists(u, qid, nxt)
-
-    def _exists(self, u: int, qid: int, nxt: dict[int, int]) -> int:
-        if u < 2:
-            return u
-        lvl, low, high = self._nodes[u]
-        q = nxt.get(lvl)
-        if q is None:
-            return u
-        hit = self._ex.get((u, qid))
-        if hit is not None:
-            return hit
-        if q == lvl:
-            r0 = self._exists(low, qid, nxt)
-            r = TRUE if r0 == TRUE else self.bor(r0, self._exists(high, qid, nxt))
-        else:
-            r = self._make(lvl, self._exists(low, qid, nxt), self._exists(high, qid, nxt))
-        self._ex[u, qid] = r
-        return r
+        return self.and_exists(u, TRUE, levels)
 
     def forall(self, u: int, levels) -> int:
         return self.bnot(self.exists(self.bnot(u), levels))
@@ -303,7 +283,7 @@ class BddManager:
         q = nxt.get(above + 1)
         lvl, low, high = self._nodes[u]
         if q is not None and q < lvl:
-            return self._exists(u, qid, nxt)
+            return self._and_exists(u, TRUE, qid, nxt)
         if u < 2 or q is None:
             return FALSE
         hit = self._br.get((u, qid))
@@ -311,7 +291,8 @@ class BddManager:
             r0 = self._branching(low, qid, nxt, lvl)
             r1 = self._branching(high, qid, nxt, lvl)
             if q == lvl:
-                both = self.band(self._exists(low, qid, nxt), self._exists(high, qid, nxt))
+                both = self.band(self._and_exists(low, TRUE, qid, nxt),
+                                 self._and_exists(high, TRUE, qid, nxt))
                 hit = self.bor(self.bor(r0, r1), both)
             else:
                 hit = self._make(lvl, r0, r1)

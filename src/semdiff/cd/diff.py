@@ -76,15 +76,10 @@ def _count_vectors(total: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _pairs_for(cd1: ClassDiagram, asc: Association, objects) -> list[Link]:
-    pairs = []
-    for oa, ca in objects:
-        if not conforms(cd1, ca, asc.class_a):
-            continue
-        for ob, cb in objects:
-            if conforms(cd1, cb, asc.class_b):
-                pairs.append(Link(asc.name, oa, ob))
-    return pairs
+def _hosts(cd: ClassDiagram, asc: Association, objects):
+    a_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_a)]
+    b_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_b)]
+    return a_objs, b_objs
 
 
 def _assoc_link_sets(cd1: ClassDiagram, asc: Association, objects) -> Iterator[tuple[Link, ...]]:
@@ -94,9 +89,10 @@ def _assoc_link_sets(cd1: ClassDiagram, asc: Association, objects) -> Iterator[t
     the upper bounds as links are added and on the lower bounds as an
     object's pair block closes.
     """
-    pairs = _pairs_for(cd1, asc, objects)
-    a_count = {oa: 0 for oa, ca in objects if conforms(cd1, ca, asc.class_a)}
-    b_count = {ob: 0 for ob, cb in objects if conforms(cd1, cb, asc.class_b)}
+    a_objs, b_objs = _hosts(cd1, asc, objects)
+    pairs = [Link(asc.name, oa, ob) for oa in a_objs for ob in b_objs]
+    a_count = dict.fromkeys(a_objs, 0)
+    b_count = dict.fromkeys(b_objs, 0)
     lo_b, hi_b = asc.mult_b.lo, asc.mult_b.hi  # bounds position-B partners of an A object
     lo_a, hi_a = asc.mult_a.lo, asc.mult_a.hi  # bounds position-A partners of a B object
 
@@ -329,29 +325,21 @@ def _choose_links(n_a: int, n_b: int, a_rng, b_rng,
     return sorted((i, j) for i, j, arc, lo in pair_arcs if net.flow_on(arc) + lo)
 
 
-def _hosts(cd: ClassDiagram, asc: Association, objects):
-    a_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_a)]
-    b_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_b)]
-    return a_objs, b_objs
-
-
 def _degree_caps(asc: Association, n_a: int, n_b: int) -> tuple[int, int]:
     hi_a = n_b if asc.mult_b.hi == UNBOUNDED else min(asc.mult_b.hi, n_b)
     hi_b = n_a if asc.mult_a.hi == UNBOUNDED else min(asc.mult_a.hi, n_a)
     return hi_a, hi_b
 
 
-def _assoc_links(cd1: ClassDiagram, asc: Association, objects,
+def _assoc_links(asc: Association, a_objs: list[str], b_objs: list[str],
                  forced: tuple[str, str] | None = None,
-                 pin: tuple[str, str, int] | None = None,
-                 hosts=None) -> tuple[Link, ...] | None:
-    """Links for one association within cd1's multiplicities, or None.
+                 pin: tuple[str, str, int] | None = None) -> tuple[Link, ...] | None:
+    """Links from a_objs to b_objs, the hosts `_hosts` finds, within the
+    association's multiplicities, or None.
 
     `forced` requires the given (obj_a, obj_b) link; `pin` fixes one object's
     partner count to an exact value ("a" pins a position-A object's count).
-    `hosts` is `_hosts(cd1, asc, objects)` when the caller already has it.
     """
-    a_objs, b_objs = hosts if hosts is not None else _hosts(cd1, asc, objects)
     hi_a, hi_b = _degree_caps(asc, len(a_objs), len(b_objs))
     a_rng = [(asc.mult_b.lo, hi_a)] * len(a_objs)
     b_rng = [(asc.mult_a.lo, hi_b)] * len(b_objs)
@@ -383,7 +371,7 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     hosts: dict[str, tuple[list[str], list[str]]] = {}  # per universe, not per call
     for asc in cd1.associations:
         hosts[asc.name] = _hosts(cd1, asc, objects)
-        links = _assoc_links(cd1, asc, objects, hosts=hosts[asc.name])
+        links = _assoc_links(asc, *hosts[asc.name])
         if links is None:
             return None  # universe admits no cd1-instance
         base[asc.name] = links
@@ -412,8 +400,7 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
                 if asc2 is not None and conforms(cd2, cls_of[oa], asc2.class_a) and \
                    conforms(cd2, cls_of[ob], asc2.class_b):
                     continue
-                links = _assoc_links(cd1, asc, objects, forced=(oa, ob),
-                                     hosts=hosts[asc.name])
+                links = _assoc_links(asc, a_objs, b_objs, forced=(oa, ob))
                 if links is not None:
                     return build(asc.name, links)
         if asc2 is None:
@@ -431,8 +418,7 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
                 for v in range(lo, hi + 1):
                     if allowed.contains(v):
                         continue
-                    links = _assoc_links(cd1, asc, objects, pin=(side, oid, v),
-                                         hosts=hosts[asc.name])
+                    links = _assoc_links(asc, a_objs, b_objs, pin=(side, oid, v))
                     if links is not None:
                         return build(asc.name, links)
     return None

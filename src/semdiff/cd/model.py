@@ -96,9 +96,6 @@ class ClassDiagram:
     classes: tuple[ClassDecl, ...]
     associations: tuple[Association, ...]
 
-    def class_names(self) -> list[str]:
-        return [c.name for c in self.classes]
-
     def concrete_classes(self) -> list[str]:
         return [c.name for c in self.classes if not c.abstract]
 

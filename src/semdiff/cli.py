@@ -138,6 +138,13 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
     cd1 = _load(args.left, ClassDiagram)
     cd2 = _load(args.right, ClassDiagram)
     heading = f"cddiff {cd1.name} vs {cd2.name} (scope {args.scope})"
+    oracle = None
+    if args.oracle:
+        from .oracle import ScopeTooLargeError, cd_enumerate_all
+        try:
+            oracle = cd_enumerate_all(cd1, cd2, args.scope)
+        except ScopeTooLargeError as exc:
+            raise CliError(str(exc)) from exc
 
     if args.summarize == "none":
         # limit + 1 probes whether the enumeration was cut short
@@ -145,6 +152,10 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
                                              limit=args.limit + 1))
         truncated = len(witnesses) > args.limit
         witnesses = witnesses[:args.limit]
+        if oracle is not None:
+            status = _cd_oracle_witnesses(oracle, args.scope, witnesses, truncated)
+            if status != 0:
+                return status
         if not witnesses:
             print(f"{heading}: no differences")
             return EXIT_NO_DIFFS
@@ -162,8 +173,8 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
         return EXIT_DIFFS
 
     report = cddiff_summary(cd1, cd2, args.scope)
-    if args.oracle:
-        status = _cd_oracle_check(cd1, cd2, args.scope, report)
+    if oracle is not None:
+        status = _cd_oracle_check(cd1, cd2, oracle, args.scope, report)
         if status != 0:
             return status
     if not report.entries:
@@ -173,13 +184,8 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
     return EXIT_DIFFS
 
 
-def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
+def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, oracle, scope: int,
                      report: SummaryReport) -> int:
-    from .oracle import ScopeTooLargeError, cd_enumerate_all
-    try:
-        oracle = cd_enumerate_all(cd1, cd2, scope)
-    except ScopeTooLargeError as exc:
-        raise CliError(str(exc)) from exc
     engine_keys = [e.key.names for e in report.entries]
     if engine_keys != oracle.keys():
         print(f"oracle mismatch: engine found {engine_keys}, "
@@ -193,6 +199,20 @@ def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
             return EXIT_ORACLE
     print(f"oracle agreement: {len(engine_keys)} class(es) at scope {scope}",
           file=sys.stderr)
+    return 0
+
+
+def _cd_oracle_witnesses(oracle, scope: int, witnesses: list[ObjectModel],
+                         truncated: bool) -> int:
+    """Each listed witness, taken as (set of objects, set of links), is one
+    of the oracle's; a list that --limit did not cut holds every one."""
+    want, got = ({(frozenset(om.objects), frozenset(om.links)) for om in oms}
+                 for oms in (oracle.witnesses, witnesses))
+    if not got <= want or not truncated and got != want:
+        print(f"oracle mismatch: {len(got - want)} listed witness(es) the oracle "
+              f"lacks, {len(want - got)} oracle witness(es) not listed", file=sys.stderr)
+        return EXIT_ORACLE
+    print(f"oracle agreement: {len(got)} witness(es) at scope {scope}", file=sys.stderr)
     return 0
 
 

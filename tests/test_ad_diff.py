@@ -16,6 +16,7 @@ from semdiff.ad.diff import (
     non_correspondence,
     reachable_pairs,
     render_inputs,
+    right_deterministic,
     trace_exact,
 )
 from semdiff.ad.encode import BitBudgetExceededError, encode_product
@@ -90,7 +91,7 @@ def test_layer_chain_counts_forcing_distance():
     right = chain("right", ["a", "b", "c"])
     enc = encode_product(left, right)
     reach = reachable_pairs(enc)
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, False)
     assert layers.depth() == 3
     init = initial_diff_states(enc, layers)
     m = enc.manager
@@ -115,7 +116,7 @@ def test_disjoint_alphabets_diverge_immediately():
     assert [st.actions for st in res.traces] == [("p",)]
     enc = encode_product(left, right)
     reach = reachable_pairs(enc)
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, False)
     assert layers.depth() == 0
 
 
@@ -222,7 +223,7 @@ def test_nondeterministic_right_side_weakens_to_simulation():
     nd = nd_twin()
     single = chain("single", ["go"])
     enc = encode_product(single, nd)
-    assert trace_exact(enc, reachable_pairs(enc)) is False
+    assert trace_exact(enc, right_deterministic(enc, reachable_pairs(enc))) is False
     res = addiff(single, nd)
     assert res.semantics == "simulation"
     assert not res.has_diffs
@@ -236,7 +237,7 @@ def test_extra_right_side_inputs_weaken_to_simulation():
     left = chain("left", ["a"])
     right = _ad(NARROW)
     enc = encode_product(left, right)
-    assert trace_exact(enc, reachable_pairs(enc)) is False
+    assert trace_exact(enc, right_deterministic(enc, reachable_pairs(enc))) is False
     assert addiff(left, right).semantics == "simulation"
 
 

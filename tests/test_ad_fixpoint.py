@@ -35,8 +35,8 @@ def both_fixpoints(left: ActivityDiagram, right: ActivityDiagram):
     reach = reachable_pairs(enc)
     d0 = non_correspondence(enc, reach)
     return (right_deterministic(enc, reach),
-            backward_fixpoint(enc, d0, reach).layers,
-            backward_fixpoint(enc, d0, reach, deterministic=True).layers)
+            backward_fixpoint(enc, d0, reach, False).layers,
+            backward_fixpoint(enc, d0, reach, True).layers)
 
 
 def directions(pairs):

@@ -14,7 +14,7 @@ from semdiff import cli
 from semdiff.ad import model, validate_ad
 from semdiff.ad.diff import (DiffLayers, addiff, backward_fixpoint, forward_split,
                              initial_diff_states, non_correspondence,
-                             reachable_pairs, trace_exact)
+                             reachable_pairs, right_deterministic, trace_exact)
 from semdiff.ad.encode import ProductEncoding, encode_product
 from semdiff.ad.model import (ActivityDiagram, Cmp, Edge, IntLit, Node, Var,
                               VarDecl, initial_configs, observable_steps)
@@ -112,7 +112,7 @@ def assert_images_match_conjoined_relations(left: ActivityDiagram,
     enc = encode_product(left, right)
     reach = reachable_pairs(enc)
     assert reach == conjoined_reach(enc), (left.name, right.name)
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach)
+    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, False)
     got = [(st.actions, st.init_inputs.node) for st in forward_split(enc, layers)]
     assert got == conjoined_split(enc, layers), (left.name, right.name)
 
@@ -168,20 +168,29 @@ def fixture_pairs(ad_v1, ad_v2, ad_v3):
 # -- reachable pairs ----------------------------------------------------------
 
 
+def assert_restricted_layers_within_reach(left: ActivityDiagram,
+                                          right: ActivityDiagram) -> tuple[bool, int]:
+    """backward_fixpoint's game is unrestricted_layers within reach, layer
+    for layer; returns (right deterministic on reach?, fixpoint depth)."""
+    enc = encode_product(left, right)
+    m = enc.manager
+    reach = reachable_pairs(enc)
+    d0 = full_non_correspondence(enc)
+    assert non_correspondence(enc, reach) == m.band(d0, reach)
+    restricted = list(backward_fixpoint(enc, non_correspondence(enc, reach), reach,
+                                        False).layers)
+    full = unrestricted_layers(enc, d0)
+    assert len(restricted) <= len(full)
+    for k, layer in enumerate(full):
+        # the restricted chain stops once it is stable within reach
+        assert m.band(layer, reach) == restricted[min(k, len(restricted) - 1)], \
+            (left.name, right.name, k)
+    return right_deterministic(enc, reach), len(restricted) - 1
+
+
 def test_restricted_layers_are_unrestricted_layers_within_reach(ad_v1, ad_v2, ad_v3):
     for left, right in fixture_pairs(ad_v1, ad_v2, ad_v3):
-        enc = encode_product(left, right)
-        m = enc.manager
-        reach = reachable_pairs(enc)
-        d0 = full_non_correspondence(enc)
-        assert non_correspondence(enc, reach) == m.band(d0, reach)
-        restricted = list(backward_fixpoint(enc, non_correspondence(enc, reach), reach).layers)
-        full = unrestricted_layers(enc, d0)
-        assert len(restricted) <= len(full)
-        for k, layer in enumerate(full):
-            # the restricted chain stops once it is stable within reach
-            assert m.band(layer, reach) == restricted[min(k, len(restricted) - 1)], \
-                (left.name, right.name, k)
+        assert_restricted_layers_within_reach(left, right)
 
 
 def test_reachable_pairs_match_explicit_joint_runs(ad_v1, ad_v2, ad_v3):
@@ -212,6 +221,22 @@ FORK = """activitydiagram fork {
   edge i -> k; edge k -> a1; edge k -> a2;
   edge a1 -> j; edge a2 -> j; edge j -> f;
 }"""
+
+def branching_directions() -> list[tuple[ActivityDiagram, ActivityDiagram]]:
+    """Left chains that take one action twice and then one the right side
+    lacks, against a fork whose two branches take that action: after the
+    first step the right side has two successors under it."""
+    go_go_b = renamed_actions(chain("go_go_b", ["g1", "g2", "b"]), {"g1": "go", "g2": "go"})
+    a1_a1_x = renamed_actions(chain("a1_a1_x", ["p1", "p2", "x"]), {"p1": "a1", "p2": "a1"})
+    return [(go_go_b, nd_twin()), (a1_a1_x, renamed_actions(_ad(FORK), {"a2": "a1"}))]
+
+
+@pytest.mark.parametrize("left, right", branching_directions(), ids=lambda ad: ad.name)
+def test_game_layers_are_unrestricted_layers_where_the_right_side_branches(left, right):
+    deterministic, depth = assert_restricted_layers_within_reach(left, right)
+    assert not deterministic
+    assert depth >= 2
+
 
 OVERLAPPING_GUARDS = """activitydiagram overlap {
   input x : 0..7;
@@ -309,7 +334,7 @@ def test_symbolic_determinism_matches_explicit_check(ad_v1, ad_v2, ad_v3):
     verdicts = []
     for left, right in cases:
         enc = encode_product(left, right)
-        verdict = trace_exact(enc, reachable_pairs(enc))
+        verdict = trace_exact(enc, right_deterministic(enc, reachable_pairs(enc)))
         assert verdict == explicitly_exact(left, right), (left.name, right.name)
         verdicts.append(verdict)
     # against itself a diagram reaches jointly what it reaches alone
@@ -401,7 +426,8 @@ def test_nondeterminism_under_an_action_the_left_never_takes_keeps_trace_semanti
     # after `a`, both `z` nodes hold a token: two successors under z
     assert not is_observably_deterministic(right)
     enc = encode_product(left, right)
-    assert trace_exact(enc, reachable_pairs(enc)) == explicitly_exact(left, right) is True
+    verdict = trace_exact(enc, right_deterministic(enc, reachable_pairs(enc)))
+    assert verdict == explicitly_exact(left, right) is True
     assert sorted(ad_diff_bfs(left, right).ql) == [("a", "c")]
     res = addiff(left, right)
     assert [st.actions for st in res.traces] == [("a", "c")]

@@ -5,7 +5,7 @@ import pytest
 from semdiff.cd import (cddiff_summary, check_instance, classes_of,
                         enumerate_witnesses, find_witness, is_instance)
 from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _choose_links,
-                             _count_vectors, _universe_witness)
+                             _count_vectors, _hosts, _universe_witness)
 from semdiff.oracle import cd_enumerate_all
 from semdiff.parsing import parse_cd
 
@@ -184,7 +184,7 @@ def test_assoc_links_come_back_sorted(cd_v2):
     manages = cd_v2.association("manages")
     objects = (("employee1", "Employee"), ("manager1", "Manager"),
                ("manager2", "Manager"))
-    links = _assoc_links(cd_v2, manages, objects)
+    links = _assoc_links(manages, *_hosts(cd_v2, manages, objects))
     assert links is not None
     assert list(links) == sorted(links, key=lambda ln: (ln.obj_a, ln.obj_b))
 

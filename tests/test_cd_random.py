@@ -48,7 +48,7 @@ def _classes(rng: random.Random, names) -> list[ClassDecl]:
 
 
 def _mutated(rng: random.Random, cd: ClassDiagram, retarget: bool) -> ClassDiagram:
-    names = cd.class_names()
+    names = [c.name for c in cd.classes]
     classes = []
     for i, c in enumerate(cd.classes):
         abstract = c.abstract != (rng.random() < 0.2)

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import FIXTURES
 from semdiff.ad.diff import ReplayMismatchError
-from semdiff.cd.model import InstanceVerdict
+from semdiff import cli
+from semdiff.cd.model import InstanceVerdict, ObjectModel
 from semdiff.cli import COMMANDS, main
 from semdiff.oracle import StateBudgetExceededError
 
@@ -205,6 +206,48 @@ BLOCKED = {
       initial i; action tick { c := c + 5; }; final f;
       edge i -> tick; edge tick -> f; }""",
 }
+
+
+@pytest.mark.parametrize("limit,n", [("20", 20), ("1000", 54)])
+def test_cddiff_no_summary_oracle_agreement(capsys, limit, n):
+    argv = ["cddiff", CD2, CD1, "--scope", "3", "--no-summary", "--limit", limit]
+    _, plain, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out) == (0, plain)
+    assert f"oracle agreement: {n} witness(es) at scope 3" in err
+
+
+def test_cddiff_no_summary_oracle_scope_cap(capsys):
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "5", "--no-summary",
+                         "--oracle")
+    assert (code, out) == (2, "")
+    assert "error: oracle scope capped at 4, got 5" in err
+
+
+@pytest.mark.parametrize("limit", ["20", "1000"])
+def test_cddiff_no_summary_oracle_mismatch_exits_3(capsys, monkeypatch, limit):
+    real = cli.enumerate_witnesses
+
+    def stray_first(cd1, cd2, scope, limit):
+        # a listed witness the oracle lacks fails even in a list --limit cut
+        stray = ObjectModel("stray", (("x1", "Nowhere"),), ())
+        return [stray] + list(real(cd1, cd2, scope, limit=limit))[1:]
+
+    monkeypatch.setattr(cli, "enumerate_witnesses", stray_first)
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", "--no-summary",
+                         "--limit", limit, "--oracle")
+    assert (code, out) == (3, "")
+    assert "oracle mismatch: 1 listed witness(es) the oracle lacks" in err
+
+
+def test_cddiff_no_summary_oracle_needs_every_witness_of_an_uncut_list(capsys, monkeypatch):
+    real = cli.enumerate_witnesses
+    monkeypatch.setattr(cli, "enumerate_witnesses",
+                        lambda cd1, cd2, scope, limit: list(real(cd1, cd2, scope))[1:])
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", "--no-summary",
+                         "--limit", "1000", "--oracle")
+    assert (code, out) == (3, "")
+    assert "0 listed witness(es) the oracle lacks, 1 oracle witness(es) not listed" in err
 
 
 @pytest.mark.parametrize("left,right,status,first", [
