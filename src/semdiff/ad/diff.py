@@ -31,7 +31,7 @@ from __future__ import annotations
 from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
 from ..errors import InternalError
 from ..record import record as dataclass
-from ..summary import PartitionKey, SummaryEntry, SummaryReport
+from ..summary import PartitionKey, SummaryEntry, SummaryReport, summarize
 from .encode import DEFAULT_BIT_BUDGET, ProductEncoding, encode_product
 from .model import (ActivityDiagram, Configuration, ObservableStep,
                     initial_configs, observable_steps)
@@ -69,16 +69,11 @@ class DiffLayers:
 @dataclass(frozen=True)
 class SymbolicTrace:
     """All divergences sharing one action list: the list itself plus the
-    set of initial input valuations it starts from.
-
-    exact_product records whether init_inputs is exactly the product of
-    its per-variable projections; rendering per variable loses nothing
-    iff it is.
-    """
+    set of initial input valuations it starts from, over the input
+    bundles a report renders (render_inputs)."""
 
     actions: tuple[str, ...]
     init_inputs: SymbolicSet
-    exact_product: bool
     bundles: tuple[VarBundle, ...]
 
     def __post_init__(self) -> None:
@@ -277,20 +272,8 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
             if leaf != FALSE:
                 emit((a,), project(leaf))
 
-    return [_input_family(enc, actions, found[actions])
+    return [SymbolicTrace(actions, SymbolicSet(m, found[actions]), enc.report_bundles)
             for actions in sorted(found)]
-
-
-def _input_family(enc: ProductEncoding, actions: tuple[str, ...],
-                  node: int) -> SymbolicTrace:
-    m = enc.manager
-    product = TRUE
-    for b in enc.report_bundles:
-        own = set(b.levels)
-        product = m.band(product, m.exists(node, [lvl for lvl in enc.report_levels
-                                                  if lvl not in own]))
-    return SymbolicTrace(actions, SymbolicSet(m, node),
-                         product == node, enc.report_bundles)
 
 
 def right_deterministic(enc: ProductEncoding, reach: int) -> bool:
@@ -324,18 +307,19 @@ def trace_exact(enc: ProductEncoding, deterministic: bool) -> bool:
 
 def render_inputs(st: SymbolicTrace) -> str:
     """Per-variable range rendering of a trace's initial input set,
-    e.g. "tickets ∈ [0..7]"; multiple maximal runs join with " ∪ " and
-    an inexact product gets a "(projection)" qualifier."""
-    m = st.init_inputs.manager
-    parts = []
+    e.g. "tickets ∈ [0..7]"; multiple maximal runs join with " ∪ ".  A
+    set that is not the product of its per-bundle projections (one
+    exists each) loses something per variable, so a "(projection)"
+    qualifier follows."""
+    m, node = st.init_inputs.manager, st.init_inputs.node
+    parts, product = [], TRUE
     for b in st.bundles:
-        runs = m.value_runs(st.init_inputs.node, b)
-        ranges = " ∪ ".join(f"[{lo}..{hi}]" for lo, hi in runs)
+        others = [lvl for o in st.bundles for lvl in o.levels if lvl not in b.levels]
+        product = m.band(product, m.exists(node, others))
+        ranges = " ∪ ".join(f"[{lo}..{hi}]" for lo, hi in m.value_runs(node, b))
         parts.append(f"{b.name} ∈ {ranges}")
     text = "; ".join(parts)
-    if not st.exact_product:
-        text += " (projection)"
-    return text
+    return text if product == node else text + " (projection)"
 
 
 def _steps(enc: ProductEncoding, ad: ActivityDiagram,
@@ -433,14 +417,10 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
 def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
                           *, exact: bool) -> SummaryReport:
     """One entry per action list, annotated with its input constraint."""
-    entries = []
-    for st in traces:
-        rep = concretize(enc, st, exact=exact)
-        entries.append(SummaryEntry(PartitionKey.action_list(st.actions),
-                                    rep, rep.constraint))
-    entries.sort(key=lambda e: e.key.payload)
-    return SummaryReport((enc.left.ad.name, enc.right.ad.name),
-                         "action-list", entries)
+    return summarize((concretize(enc, st, exact=exact) for st in traces),
+                     lambda rep: PartitionKey.action_list(rep.actions),
+                     direction=(enc.left.ad.name, enc.right.ad.name),
+                     partition_kind="action-list", annotate=lambda rep: rep.constraint)
 
 
 def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
@@ -462,9 +442,8 @@ def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
         union = FALSE
         for st in members:
             union = m.bor(union, st.init_inputs.node)
-        family = _input_family(enc, members[0].actions, union)
-        entries.append(SummaryEntry(key, reps[members[0].actions],
-                                    render_inputs(family)))
+        family = SymbolicTrace(members[0].actions, SymbolicSet(m, union), enc.report_bundles)
+        entries.append(SummaryEntry(key, reps[members[0].actions], render_inputs(family)))
     entries.sort(key=lambda e: e.key.payload)
     return SummaryReport((enc.left.ad.name, enc.right.ad.name),
                          "action-set", entries)

@@ -3,11 +3,13 @@
 A witness is an object model valid in cd1 and invalid in cd2.  The search
 visits object universes (class multisets within scope) in one order:
 ascending object count, class sets in canonical order, object counts in
-composition order.  The summary makes one pass over it and keeps the first
-witness of each class set, skipping the set from then on, so it decides
-each universe at most once.  A class set is skipped up front when one of
-its classes needs a partner (an end with lo >= 1) that no class in the set
-conforms to: no cd1-instance instantiates such a set.
+composition order.  One loop (`_witnessed_universes`) walks it, decides
+each universe at most once and re-checks every witness it finds; the
+summary keeps the first witness of each class set, skipping the set from
+then on, and the enumeration streams every instance of each witnessed
+universe.  A class set is skipped up front when one of its classes needs
+a partner (an end with lo >= 1) that no class in the set conforms to: no
+cd1-instance instantiates such a set.
 
 Per universe, witness existence is decided exactly instead of by
 enumerating link sets: multiplicities bound each object's per-position link
@@ -424,28 +426,32 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     return None
 
 
-def _first_witnesses(cd1: ClassDiagram, cd2: ClassDiagram,
-                     scope: int) -> Iterator[ObjectModel]:
-    """The first witness of each class set, in search order.
+def _witnessed_universes(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
+                         first_only: bool) -> Iterator[tuple[tuple, ObjectModel]]:
+    """(objects, witness) per witnessed universe, in search order; with
+    first_only, a class set is skipped after its first witness.
 
-    A set is tested for a cover only once one of its universes has no
-    witness, so sets that are witnessed at once never pay for the test.
+    Each witness is re-checked against cd2.  A set is tested for a cover
+    only once one of its universes has no witness, so sets that are
+    witnessed at once never pay for the test.
     """
     _check_scope(scope)
     if _covered(cd1, cd2, cd1.concrete_classes()):
         return
-    skip: dict[ClassSet, bool] = {}  # True: witnessed or covered
+    skip: dict[ClassSet, bool] = {}  # True: covered, or witnessed under first_only
     for cs, objects in _universes(cd1, scope):
         if skip.get(cs):
             continue
         om = _universe_witness(cd1, cd2, objects, "witness")
-        if om is not None:
-            if is_instance(om, cd2):
-                raise WitnessCheckError(f"a witness is an instance of {cd2.name}")
+        if om is None:
+            if cs not in skip:
+                skip[cs] = _covered(cd1, cd2, cs)
+            continue
+        if is_instance(om, cd2):
+            raise WitnessCheckError(f"a witness is an instance of {cd2.name}")
+        if first_only:
             skip[cs] = True
-            yield om
-        elif cs not in skip:
-            skip[cs] = _covered(cd1, cd2, cs)
+        yield objects, om
 
 
 def find_witness(cd1: ClassDiagram, cd2: ClassDiagram,
@@ -454,29 +460,19 @@ def find_witness(cd1: ClassDiagram, cd2: ClassDiagram,
 
     Deterministic: the first witness of the search order the summary uses.
     """
-    return next(_first_witnesses(cd1, cd2, scope), None)
+    return next((om for _, om in _witnessed_universes(cd1, cd2, scope, True)), None)
 
 
 def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
                         limit: int | None = None) -> Iterator[ObjectModel]:
     """Witnesses in search order, up to `limit`; every one, not one per set.
 
-    Universes the per-universe decision clears are skipped wholesale, so the
-    (possibly huge) instance streams only run where a witness is known to
-    exist; covered class sets are skipped as in `_first_witnesses`.
+    The instance stream of a universe, possibly huge, runs only where the
+    per-universe decision found a witness, read from the summary's loop
+    without its skip after a first witness.
     """
-    _check_scope(scope)
-    if _covered(cd1, cd2, cd1.concrete_classes()):
-        return
-    covered: dict[ClassSet, bool] = {}
     emitted = 0
-    for cs, objects in _universes(cd1, scope):
-        if covered.get(cs):
-            continue
-        if _universe_witness(cd1, cd2, objects, "probe") is None:
-            if cs not in covered:
-                covered[cs] = _covered(cd1, cd2, cs)
-            continue
+    for objects, _ in _witnessed_universes(cd1, cd2, scope, False):
         for om in _universe_instances(cd1, objects, "witness"):
             if not is_instance(om, cd2):
                 emitted += 1  # each witness is named by its own ordinal
@@ -488,7 +484,7 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
 def cddiff_summary(cd1: ClassDiagram, cd2: ClassDiagram,
                    scope: int = 10) -> SummaryReport:
     """One representative witness per instantiated class set, exhaustively."""
-    found = list(_first_witnesses(cd1, cd2, scope))
+    found = [om for _, om in _witnessed_universes(cd1, cd2, scope, True)]
     for om in found:
         verdict = check_instance(om, cd1)
         if not verdict.ok:

@@ -65,9 +65,6 @@ class MultRange:
         return f"{self.lo}..{self.hi}"
 
 
-MANY = MultRange(0, UNBOUNDED)
-
-
 @dataclass(frozen=True)
 class ClassDecl:
     name: str

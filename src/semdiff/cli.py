@@ -4,8 +4,9 @@ Three subcommands: `cddiff` and `addiff` compare two models and print a
 summary report (or a raw witness enumeration), `check` tests one object
 model against a class diagram.  Exit status: 0 differences found /
 instance ok, 1 no differences / not an instance, 2 usage or parse
-failure, 3 oracle mismatch under --oracle, 4 a limit was hit (the
-encoder's bit budget or depth bound, the --oracle state budget), 5 an
+failure (a model file that is not UTF-8 text included), 3 oracle
+mismatch under --oracle, 4 a limit was hit (the encoder's bit budget or
+depth bound, the --oracle state budget, Python's recursion limit), 5 an
 internal error (an engine result failed its explicit replay).  Statuses
 2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
 A process whose reader closes stdout before the output is complete (say,
@@ -62,6 +63,9 @@ def _load(path: str, want: type) -> object:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text, byte {exc.object[exc.start]:#04x} "
+                       f"at offset {exc.start}") from exc
     try:
         model = parse_model(text, source=path)
     except ParseError as exc:
@@ -406,6 +410,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except LimitError as exc:
         print(f"error: limit reached: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RecursionError:
+        # say, an expression nested thousands deep in a model file
+        print(f"error: limit reached: recursion deeper than Python's limit of "
+              f"{sys.getrecursionlimit()}", file=sys.stderr)
         return EXIT_LIMIT
     except InternalError as exc:
         print(f"error: internal error, {exc.what}: {exc}", file=sys.stderr)

@@ -126,6 +126,19 @@ class _Parser:
         """An integer with an optional leading '-' (ranges, literals)."""
         return -self.integer() if self.accept("-") else self.integer()
 
+    def head(self, keyword: str) -> str:
+        """`keyword name {`, which opens every model; returns the name."""
+        self.expect(keyword)
+        name = self.ident()
+        self.expect("{")
+        return name
+
+    def tail(self) -> None:
+        """`}` and then the end of input, which close every model."""
+        self.expect("}")
+        if self.peek().kind != "eof":
+            raise self.error("expected end of input")
+
     # expressions: || < && < ! < comparison < additive < primary
     def expression(self) -> object:
         return self._or()
@@ -185,9 +198,7 @@ def parse_cd(text: str, source: str | None = None) -> ClassDiagram:
 
 
 def _cd(p: _Parser) -> ClassDiagram:
-    p.expect("classdiagram")
-    name = p.ident()
-    p.expect("{")
+    name = p.head("classdiagram")
     classes: list[ClassDecl] = []
     while p.peek().value == "class":
         p.next()
@@ -209,9 +220,7 @@ def _cd(p: _Parser) -> ClassDiagram:
         mult_b = _parse_mult(p)
         p.expect(";")
         associations.append(Association(aname, class_a, mult_a, class_b, mult_b))
-    p.expect("}")
-    if p.peek().kind != "eof":
-        raise p.error("expected end of input")
+    p.tail()
     return ClassDiagram(name, tuple(classes), tuple(associations))
 
 
@@ -254,9 +263,7 @@ def parse_od(text: str, source: str | None = None) -> ObjectModel:
 
 
 def _od(p: _Parser) -> ObjectModel:
-    p.expect("objectdiagram")
-    name = p.ident()
-    p.expect("{")
+    name = p.head("objectdiagram")
     objects: list[tuple[str, str]] = []
     while p.peek().kind == "ident" and p.peek().value != "link":
         oid = p.ident("object id")
@@ -273,9 +280,7 @@ def _od(p: _Parser) -> ObjectModel:
         b = p.ident("object id")
         p.expect(";")
         links.append(Link(asc, a, b))
-    p.expect("}")
-    if p.peek().kind != "eof":
-        raise p.error("expected end of input")
+    p.tail()
     return ObjectModel(name, tuple(objects), tuple(links))
 
 
@@ -296,31 +301,8 @@ def parse_ad(text: str, source: str | None = None) -> ActivityDiagram:
 
 
 def _ad(p: _Parser) -> ActivityDiagram:
-    p.expect("activitydiagram")
-    name = p.ident()
-    p.expect("{")
-    inputs: list[VarDecl] = []
-    while p.peek().value == "input":
-        p.next()
-        vname = p.ident("variable name")
-        p.expect(":")
-        lo = p.signed()
-        p.expect("..")
-        hi = p.signed()
-        p.expect(";")
-        inputs.append(VarDecl(vname, lo, hi))
-    locals_: list[VarDecl] = []
-    while p.peek().value == "local":
-        p.next()
-        vname = p.ident("variable name")
-        p.expect(":")
-        lo = p.signed()
-        p.expect("..")
-        hi = p.signed()
-        p.expect("=")
-        init = p.signed()
-        p.expect(";")
-        locals_.append(VarDecl(vname, lo, hi, init))
+    name = p.head("activitydiagram")
+    inputs, locals_ = _var_decls(p, "input"), _var_decls(p, "local")
     nodes: list[Node] = []
     while p.peek().value in NODE_KINDS and p.peek().kind == "ident":
         kind = p.next().value
@@ -359,10 +341,27 @@ def _ad(p: _Parser) -> ActivityDiagram:
             p.expect("]")
         p.expect(";")
         edges.append(Edge(f"e{len(edges) + 1}", src, dst, guard))
-    p.expect("}")
-    if p.peek().kind != "eof":
-        raise p.error("expected end of input")
-    return ActivityDiagram(name, tuple(inputs), tuple(locals_), tuple(nodes), tuple(edges))
+    p.tail()
+    return ActivityDiagram(name, inputs, locals_, tuple(nodes), tuple(edges))
+
+
+def _var_decls(p: _Parser, keyword: str) -> tuple[VarDecl, ...]:
+    """`keyword name : lo .. hi;` declarations; a local puts `= init`
+    before the `;`."""
+    decls = []
+    while p.accept(keyword):
+        vname = p.ident("variable name")
+        p.expect(":")
+        lo = p.signed()
+        p.expect("..")
+        hi = p.signed()
+        init = None
+        if keyword == "local":
+            p.expect("=")
+            init = p.signed()
+        p.expect(";")
+        decls.append(VarDecl(vname, lo, hi, init))
+    return tuple(decls)
 
 
 def print_ad(ad: ActivityDiagram) -> str:

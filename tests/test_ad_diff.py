@@ -133,9 +133,9 @@ def test_layers_reject_non_monotone_chains():
 def test_symbolic_trace_shape_is_checked():
     m = BddManager()
     with pytest.raises(ValueError, match="at least one action"):
-        SymbolicTrace((), m.true_set, True, ())
+        SymbolicTrace((), m.true_set, ())
     with pytest.raises(ValueError, match="nonempty"):
-        SymbolicTrace(("a",), m.false_set, True, ())
+        SymbolicTrace(("a",), m.false_set, ())
 
 
 # -- fixture pairs, frozen against the explicit oracle -------------------
@@ -273,7 +273,7 @@ def test_render_marks_inexact_products():
     yb = VarBundle("y", 0, 1, (m.new_var(),))
     diag = m.bor(m.band(m.value_cube(xb, 0), m.value_cube(yb, 0)),
                  m.band(m.value_cube(xb, 1), m.value_cube(yb, 1)))
-    st = SymbolicTrace(("a",), SymbolicSet(m, diag), False, (xb, yb))
+    st = SymbolicTrace(("a",), SymbolicSet(m, diag), (xb, yb))
     assert render_inputs(st) == "x ∈ [0..1]; y ∈ [0..1] (projection)"
 
 

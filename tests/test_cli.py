@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text
 from semdiff.ad.diff import ReplayMismatchError
 from semdiff import cli
 from semdiff.cd.model import InstanceVerdict, ObjectModel
@@ -322,6 +322,17 @@ def test_missing_file(capsys, tmp_path):
     assert str(gone) in err
 
 
+@pytest.mark.parametrize("command, data, where", [
+    ("cddiff", b"\xff\xfe\x00bad", "0xff at offset 0"),
+    ("check", b"objectdiagram o {\n  e1 : Employ\xc0ee;\n}\n", "0xc0 at offset 31"),
+])
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, command, data, where):
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, command, str(bad), str(bad) if command == "cddiff" else CD1)
+    assert (code, out, err) == (2, "", f"error: {bad}: not UTF-8 text, byte {where}\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "frobnicate") == (
         2, "", "error: expected a command (cddiff, addiff, check), got frobnicate\n")
@@ -461,6 +472,25 @@ def test_product_deeper_than_the_recursion_limit_exits_4(capsys, tmp_path):
     assert out.startswith("addiff stop vs halt (trace semantics): 1 difference class(es)")
 
 
+DEEP_GUARDS = {  # run as a process, each overflows a different recursion:
+    # the parser's descent, `_unary`, the type check, the encoder printing it
+    "parentheses": "(" * 3000 + "tickets < 8" + ")" * 3000,
+    "negations": "!" * 3000 + "tickets < 8",
+    "sum-of-3000": " + ".join(["tickets"] * 3000) + " > 1",
+    "sum-of-400": " + ".join(["tickets"] * 400) + " > 1",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_GUARDS)
+def test_a_guard_nested_past_the_recursion_limit_exits_4(capsys, tmp_path, shape):
+    deep = tmp_path / "deep.ad"
+    deep.write_text(fixture_text("ad_v1.ad").replace("[tickets < 8]", f"[{DEEP_GUARDS[shape]}]"))
+    code, out, err = run(capsys, "addiff", str(deep), AD2)
+    assert (code, out) == (4, "")
+    assert err == ("error: limit reached: recursion deeper than Python's limit of "
+                   f"{sys.getrecursionlimit()}\n")
+
+
 def test_oracle_state_budget_exits_4(capsys, monkeypatch):
     def exhausted(ad1, ad2):
         raise StateBudgetExceededError("state budget exceeded")
@@ -495,6 +525,22 @@ def test_witness_check_failure_exits_5(capsys, monkeypatch, name, fake, says):
     code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3")
     assert (code, out) == (5, "")
     assert err == f"error: internal error, witness check failed: {says}\n"
+
+
+@pytest.mark.parametrize("objects, flags, says", [
+    # the empty model is an instance of every class diagram; the
+    # enumeration re-checks each universe's witness as the summary does
+    ((), (), "a witness is an instance of cd_v1"),
+    ((), ("--no-summary",), "a witness is an instance of cd_v1"),
+    ((("g1", "Ghost"),), (), "a witness is invalid in cd_v2: "),
+])
+def test_a_faulty_universe_witness_exits_5(capsys, monkeypatch, objects, flags, says):
+    monkeypatch.setattr("semdiff.cd.diff._universe_witness",
+                        lambda cd1, cd2, universe, name: ObjectModel(name, objects, ()))
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", *flags)
+    assert (code, out) == (5, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: internal error, witness check failed: {says}")
 
 
 # -- the process path: run() flushes, then exits without teardown --------------

@@ -7,6 +7,12 @@ reproducible from its seed.  The mutant runs against an unmutated partner,
 on either side, with and without `--oracle`.  Every run must return a
 documented exit status and raise nothing: a broken input ends in status 2
 with an `error:` line, never in a traceback.
+
+Token mutations keep the text UTF-8 and its expressions shallow, so a
+second family mutates below and above the token: a byte that is never
+valid UTF-8 at a random offset, or one activity-diagram expression (a
+guard, or an effect put on an action) nested N deep, with N parentheses,
+N `!`s or one term repeated N times.
 """
 
 from __future__ import annotations
@@ -75,3 +81,57 @@ def test_mutated_inputs_end_in_a_documented_status(seed, tmp_path, capsys):
         assert status in range(6), (command, pair, flags, text)
         if status in (2, 4, 5):
             assert err.startswith("error: ") and "Traceback" not in err, (flags, text)
+
+
+DEPTHS = (400, 1000, 3000)
+NOT_UTF8 = (0xC0, 0xC1, 0xFE, 0xFF)  # bytes no UTF-8 text holds
+GUARD = re.compile(r"(?<=\[)[^\]]+(?=\];)")
+ACTION = re.compile(r"action \w+(?=;)")
+
+
+def deepen(rng: random.Random, text: str) -> str:
+    n = rng.choice(DEPTHS)
+    if rng.random() < 0.5:
+        spot = rng.choice(list(GUARD.finditer(text)))
+        head, expr, tail = text[:spot.start()], spot[0], text[spot.end():]
+    else:  # every activity-diagram fixture declares the input tickets
+        spot = rng.choice(list(ACTION.finditer(text)))
+        head, expr, tail = text[:spot.end()] + " { tickets := ", "tickets", "; }" + text[spot.end():]
+    shape = rng.randrange(3)
+    if shape == 0:
+        expr = "(" * n + expr + ")" * n
+    elif shape == 1:
+        expr = "!" * n + expr
+    else:
+        term = rng.choice(re.findall(r"\w+", expr))
+        expr = re.sub(rf"\b{term}\b", " + ".join([term] * n), expr, count=1)
+    return head + expr + tail
+
+
+def deep_cases(seed: int):
+    rng = random.Random(f"deep:{seed}")
+    for _ in range(CASES_PER_SEED):
+        name = rng.choice(sorted(FAMILIES))
+        command, partners, flags = FAMILIES[name]
+        data = fixture_text(name).encode()
+        if name.endswith(".ad") and rng.random() < 0.5:
+            data = deepen(rng, data.decode()).encode()
+        else:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + bytes([rng.choice(NOT_UTF8)]) + data[at:]
+        yield command, data, str(FIXTURES / rng.choice(partners)), rng.random() < 0.5, flags
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bytes_and_depth_end_in_a_documented_status(seed, tmp_path, capsys):
+    mutant = tmp_path / "mutant"
+    for command, data, partner, swap, flags in deep_cases(seed):
+        mutant.write_bytes(data)
+        pair = [str(mutant), partner]
+        if swap and command != "check":
+            pair.reverse()
+        status = main([command, *pair, *flags])
+        err = capsys.readouterr().err
+        assert status in range(6), (command, pair, flags, data)
+        if status in (2, 4, 5):
+            assert err.startswith("error: ") and "Traceback" not in err, (flags, data)
