@@ -48,9 +48,14 @@ class Arith:
 
     def __str__(self) -> str:
         # + and - are left-associative; parenthesize a right-nested chain so
-        # the printed form parses back to this exact tree.
-        rhs = f"({self.right})" if isinstance(self.right, Arith) else str(self.right)
-        return f"{self.left} {self.op} {rhs}"
+        # the printed form parses back to this exact tree.  The left spine
+        # is walked in a loop, so a long sum costs no recursion per term.
+        tail, e = [], self
+        while isinstance(e, Arith):
+            rhs = f"({e.right})" if isinstance(e.right, Arith) else str(e.right)
+            tail.append(f" {e.op} {rhs}")
+            e = e.left
+        return str(e) + "".join(reversed(tail))
 
 
 @dataclass(frozen=True)

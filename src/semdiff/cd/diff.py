@@ -30,6 +30,12 @@ otherwise on a set after one of its universes came back without a witness.
 A "no differences" answer reached through the whole-diagram cover holds at
 every size, not only up to the scope; stdout does not say which way it was
 reached.
+
+Facts of one diagram are worked out once, on first use, and kept on it:
+the classes conforming to each class, the partner needs the prune reads,
+and each flow network's answer by its shape, which `_choose_links` alone
+decides (a 7-class chain at scope 5 asks 171 flows of 5 shapes).  Once per
+run come the candidate sets, the whole-diagram cover and the skip table.
 """
 
 from __future__ import annotations
@@ -40,8 +46,7 @@ from typing import Iterator, Sequence
 from ..errors import InternalError
 from ..summary import PartitionKey, SummaryReport, summarize
 from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
-                    ObjectModel, check_instance, classes_of, conforms,
-                    is_instance)
+                    ObjectModel, check_instance, classes_of, is_instance)
 
 
 ClassSet = tuple[str, ...]  # sorted class names
@@ -79,9 +84,9 @@ def _count_vectors(total: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _hosts(cd: ClassDiagram, asc: Association, objects):
-    a_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_a)]
-    b_objs = [oid for oid, cls in objects if conforms(cd, cls, asc.class_b)]
-    return a_objs, b_objs
+    members_a, members_b = cd.members(asc.class_a), cd.members(asc.class_b)
+    return ([oid for oid, cls in objects if cls in members_a],
+            [oid for oid, cls in objects if cls in members_b])
 
 
 def _assoc_link_sets(cd1: ClassDiagram, asc: Association, objects) -> Iterator[tuple[Link, ...]]:
@@ -136,22 +141,11 @@ def _universe_objects(class_set: ClassSet, counts: tuple[int, ...]):
     return tuple(objects)
 
 
-def _ends(asc: Association) -> tuple[tuple[str, MultRange, str], ...]:
-    """(own class, the range of its objects' partner counts, partner class)
-    for position A, then position B."""
-    return ((asc.class_a, asc.mult_b, asc.class_b),
-            (asc.class_b, asc.mult_a, asc.class_a))
-
-
 def _may_instantiate(cd1: ClassDiagram, class_set: ClassSet) -> bool:
     """False when some class of the set needs a partner (an end with lo >= 1)
     that no class of the set can be; then no cd1-instance has this set."""
-    for asc in cd1.associations:
-        for own, rng, other in _ends(asc):
-            if rng.lo >= 1 and any(conforms(cd1, c, own) for c in class_set) and \
-               not any(conforms(cd1, c, other) for c in class_set):
-                return False
-    return True
+    return all(needy.isdisjoint(class_set) or not partners.isdisjoint(class_set)
+               for needy, partners in cd1.needs)
 
 
 def _within(inner: MultRange, outer: MultRange) -> bool:
@@ -172,7 +166,7 @@ def _covered(cd1: ClassDiagram, cd2: ClassDiagram, class_set: Sequence[str]) -> 
     object that cd1 requires to have a partner the set lacks is in no
     cd1-instance over the set, so it needs no such range.  The counts are
     checked before the links: a changed multiplicity fails there within a
-    few `conforms` calls, where the link check scans every association.
+    few member-table lookups, where the link check scans every association.
     """
     for c in class_set:
         decl = cd2.decl(c)
@@ -180,14 +174,15 @@ def _covered(cd1: ClassDiagram, cd2: ClassDiagram, class_set: Sequence[str]) -> 
             return False
     for asc2 in cd2.associations:
         asc = cd1.association(asc2.name)
-        ends1 = _ends(asc) if asc is not None else (None, None)
-        for (own2, range2, _), end1 in zip(_ends(asc2), ends1):
+        ends1 = asc.ends() if asc is not None else (None, None)
+        for (own2, range2, _), end1 in zip(asc2.ends(), ends1):
             linkable = end1 is not None and \
-                any(conforms(cd1, p, end1[2]) for p in class_set)
+                not cd1.members(end1[2]).isdisjoint(class_set)
+            counted2 = cd2.members(own2)
             for c in class_set:
-                if not conforms(cd2, c, own2):
+                if c not in counted2:
                     continue  # cd2 does not count c's objects here
-                own1 = end1 is not None and conforms(cd1, c, end1[0])
+                own1 = end1 is not None and c in cd1.members(end1[0])
                 if own1 and linkable:
                     if not _within(end1[1], range2):
                         return False
@@ -196,26 +191,29 @@ def _covered(cd1: ClassDiagram, cd2: ClassDiagram, class_set: Sequence[str]) -> 
                 elif range2.lo > 0 and not (own1 and end1[1].lo > 0):
                     return False
     for asc in cd1.associations:
-        ends_a = [c for c in class_set if conforms(cd1, c, asc.class_a)]
-        ends_b = [c for c in class_set if conforms(cd1, c, asc.class_b)]
+        ends_a = cd1.members(asc.class_a).intersection(class_set)
+        ends_b = cd1.members(asc.class_b).intersection(class_set)
         if not (ends_a and ends_b):
             continue  # no link of asc between classes of the set
         asc2 = cd2.association(asc.name)
-        if asc2 is None or \
-           not all(conforms(cd2, c, asc2.class_a) for c in ends_a) or \
-           not all(conforms(cd2, c, asc2.class_b) for c in ends_b):
+        if asc2 is None or not ends_a <= cd2.members(asc2.class_a) or \
+           not ends_b <= cd2.members(asc2.class_b):
             return False
     return True
 
 
-def _universes(cd1: ClassDiagram, scope: int) -> Iterator[tuple[ClassSet, tuple]]:
-    """(class set, objects) of every universe in search order, pruned."""
+def _universes(cd1: ClassDiagram, scope: int,
+               skip: dict[ClassSet, bool]) -> Iterator[tuple[ClassSet, tuple]]:
+    """(class set, objects) of every universe in search order, pruned; a
+    set is passed over once the caller's `skip` maps it to True."""
     class_sets = [cs for cs in _candidate_class_sets(cd1, scope)
                   if _may_instantiate(cd1, cs)]
     for total in range(1, scope + 1):
         for cs in class_sets:
             if len(cs) <= total:
                 for counts in _count_vectors(total, len(cs)):
+                    if skip.get(cs):
+                        break
                     yield cs, _universe_objects(cs, counts)
 
 
@@ -335,12 +333,14 @@ def _degree_caps(asc: Association, n_a: int, n_b: int) -> tuple[int, int]:
 
 def _assoc_links(asc: Association, a_objs: list[str], b_objs: list[str],
                  forced: tuple[str, str] | None = None,
-                 pin: tuple[str, str, int] | None = None) -> tuple[Link, ...] | None:
+                 pin: tuple[str, str, int] | None = None,
+                 flows: dict | None = None) -> tuple[Link, ...] | None:
     """Links from a_objs to b_objs, the hosts `_hosts` finds, within the
     association's multiplicities, or None.
 
     `forced` requires the given (obj_a, obj_b) link; `pin` fixes one object's
     partner count to an exact value ("a" pins a position-A object's count).
+    `flows` maps `_choose_links` arguments to its answers, filled as asked.
     """
     hi_a, hi_b = _degree_caps(asc, len(a_objs), len(b_objs))
     a_rng = [(asc.mult_b.lo, hi_a)] * len(a_objs)
@@ -352,7 +352,9 @@ def _assoc_links(asc: Association, a_objs: list[str], b_objs: list[str],
         else:
             b_rng[b_objs.index(oid)] = (v, v)
     f = (a_objs.index(forced[0]), b_objs.index(forced[1])) if forced else None
-    chosen = _choose_links(len(a_objs), len(b_objs), a_rng, b_rng, forced=f)
+    args = (len(a_objs), len(b_objs), tuple(a_rng), tuple(b_rng), f)
+    flows = {} if flows is None else flows
+    chosen = flows[args] = flows[args] if args in flows else _choose_links(*args)
     if chosen is None:
         return None
     return tuple(Link(asc.name, a_objs[i], b_objs[j]) for i, j in chosen)
@@ -368,12 +370,14 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     outside cd2's range, and each candidate bend is tried directly.  The
     count of links not owned by cd1 associations is zero in every
     cd1-instance, so conformance of the canonical instance rules those out.
+    Link flows are decided through cd1's memo of `_choose_links` answers.
     """
+    flows = cd1._flows
     base: dict[str, tuple[Link, ...]] = {}
     hosts: dict[str, tuple[list[str], list[str]]] = {}  # per universe, not per call
     for asc in cd1.associations:
         hosts[asc.name] = _hosts(cd1, asc, objects)
-        links = _assoc_links(asc, *hosts[asc.name])
+        links = _assoc_links(asc, *hosts[asc.name], flows=flows)
         if links is None:
             return None  # universe admits no cd1-instance
         base[asc.name] = links
@@ -396,13 +400,13 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     for asc in sorted(cd1.associations, key=lambda a: a.name):
         a_objs, b_objs = hosts[asc.name]
         asc2 = cd2.association(asc.name)
+        ok_a, ok_b = (cd2.members(asc2.class_a), cd2.members(asc2.class_b)) if asc2 else ((), ())
         # links cd2 rejects: every link when it lacks the name, else bad ends
         for oa in a_objs:
             for ob in b_objs:
-                if asc2 is not None and conforms(cd2, cls_of[oa], asc2.class_a) and \
-                   conforms(cd2, cls_of[ob], asc2.class_b):
+                if cls_of[oa] in ok_a and cls_of[ob] in ok_b:
                     continue
-                links = _assoc_links(asc, a_objs, b_objs, forced=(oa, ob))
+                links = _assoc_links(asc, a_objs, b_objs, forced=(oa, ob), flows=flows)
                 if links is not None:
                     return build(asc.name, links)
         if asc2 is None:
@@ -411,16 +415,16 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
         # time; objects outside cd2's end class are not counted by cd2, and
         # a zero count shared with the canonical instance cannot violate
         hi_a, hi_b = _degree_caps(asc, len(a_objs), len(b_objs))
-        for side, objs, end, lo, hi, allowed in (
-                ("a", a_objs, asc2.class_a, asc.mult_b.lo, hi_a, asc2.mult_b),
-                ("b", b_objs, asc2.class_b, asc.mult_a.lo, hi_b, asc2.mult_a)):
+        for side, objs, counted, lo, hi, allowed in (
+                ("a", a_objs, ok_a, asc.mult_b.lo, hi_a, asc2.mult_b),
+                ("b", b_objs, ok_b, asc.mult_a.lo, hi_b, asc2.mult_a)):
             for oid in objs:
-                if not conforms(cd2, cls_of[oid], end):
+                if cls_of[oid] not in counted:
                     continue
                 for v in range(lo, hi + 1):
                     if allowed.contains(v):
                         continue
-                    links = _assoc_links(asc, a_objs, b_objs, pin=(side, oid, v))
+                    links = _assoc_links(asc, a_objs, b_objs, pin=(side, oid, v), flows=flows)
                     if links is not None:
                         return build(asc.name, links)
     return None
@@ -439,9 +443,7 @@ def _witnessed_universes(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
     if _covered(cd1, cd2, cd1.concrete_classes()):
         return
     skip: dict[ClassSet, bool] = {}  # True: covered, or witnessed under first_only
-    for cs, objects in _universes(cd1, scope):
-        if skip.get(cs):
-            continue
+    for cs, objects in _universes(cd1, scope, skip):
         om = _universe_witness(cd1, cd2, objects, "witness")
         if om is None:
             if cs not in skip:

@@ -86,6 +86,12 @@ class Association:
     class_b: str
     mult_b: MultRange
 
+    def ends(self) -> tuple[tuple[str, MultRange, str], ...]:
+        """(own class, the range of its objects' partner counts, partner
+        class) for position A, then position B."""
+        return ((self.class_a, self.mult_b, self.class_b),
+                (self.class_b, self.mult_a, self.class_a))
+
 
 @dataclass(frozen=True)
 class ClassDiagram:
@@ -111,20 +117,37 @@ class ClassDiagram:
     def _assocs(self) -> dict[str, Association]:
         return {a.name: a for a in reversed(self.associations)}
 
+    def members(self, name: str) -> frozenset[str]:
+        """The classes that conform to `name`: the declared classes whose
+        parent walk reaches it, and `name` itself, declared or not."""
+        return self._members.get(name) or frozenset((name,))
+
     @cached_property
-    def _ancestors(self) -> dict[str, frozenset[str]]:
-        """Names on each declared class's parent walk, itself included; the
-        walk stops after an undeclared name or on a cycle."""
-        out: dict[str, frozenset[str]] = {}
+    def _members(self) -> dict[str, frozenset[str]]:
+        """`members` of each name on a declared class's parent walk, which
+        stops after an undeclared name or on a cycle."""
+        out: dict[str, set[str]] = {}
         for name in self._decls:
             seen: set[str] = set()
             cur: str | None = name
             while cur is not None and cur not in seen:
                 seen.add(cur)
+                out.setdefault(cur, {cur}).add(name)
                 decl = self._decls.get(cur)
                 cur = decl.parent if decl is not None else None
-            out[name] = frozenset(seen)
-        return out
+        return {sup: frozenset(subs) for sup, subs in out.items()}
+
+    @cached_property
+    def needs(self) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+        """(needy classes, partner classes) per association end with lo >= 1:
+        an object of a needy class needs a partner of a partner class."""
+        return tuple((self.members(own), self.members(other)) for a in self.associations
+                     for own, rng, other in a.ends() if rng.lo >= 1)
+
+    @cached_property
+    def _flows(self) -> dict:
+        """`cd.diff._choose_links` answers by arguments, for searches from here."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -200,8 +223,8 @@ def validate_om(om: ObjectModel) -> ObjectModel:
 
 
 def conforms(cd: ClassDiagram, sub: str, sup: str) -> bool:
-    """Reflexive-transitive subclassing; unknown classes conform to nothing."""
-    return sub == sup or sup in cd._ancestors.get(sub, ())
+    """Reflexive-transitive subclassing; an undeclared class conforms only to itself."""
+    return sub in cd.members(sup)
 
 
 @dataclass(frozen=True)
@@ -238,25 +261,18 @@ def _violations(om: ObjectModel, cd: ClassDiagram):
                             f"link {ln.association} is not declared in {cd.name}",
                             association=ln.association)
             continue
-        ca = cls_of.get(ln.obj_a)
-        cb = cls_of.get(ln.obj_b)
-        if ca is None or not conforms(cd, ca, asc.class_a):
-            yield Violation("endpoint",
-                            f"{ln.obj_a} does not conform to {asc.class_a} "
-                            f"(position A of {asc.name})",
-                            association=asc.name, obj=ln.obj_a)
-        if cb is None or not conforms(cd, cb, asc.class_b):
-            yield Violation("endpoint",
-                            f"{ln.obj_b} does not conform to {asc.class_b} "
-                            f"(position B of {asc.name})",
-                            association=asc.name, obj=ln.obj_b)
+        for oid, end, pos in ((ln.obj_a, asc.class_a, "A"), (ln.obj_b, asc.class_b, "B")):
+            if cls_of.get(oid) not in cd.members(end):
+                yield Violation("endpoint", f"{oid} does not conform to {end} "
+                                f"(position {pos} of {asc.name})", association=asc.name, obj=oid)
 
     # Multiplicities.  A self-link counts once per position.
     a_deg = Counter((ln.association, ln.obj_a) for ln in om.links)
     b_deg = Counter((ln.association, ln.obj_b) for ln in om.links)
     for asc in cd.associations:
+        members_a, members_b = cd.members(asc.class_a), cd.members(asc.class_b)
         for oid, cls in om.objects:
-            if conforms(cd, cls, asc.class_a):
+            if cls in members_a:
                 n = a_deg[asc.name, oid]
                 if not asc.mult_b.contains(n):
                     yield Violation(
@@ -264,7 +280,7 @@ def _violations(om: ObjectModel, cd: ClassDiagram):
                         f"{oid} has {n} {asc.class_b} partner(s) via {asc.name}, "
                         f"multiplicity is [{asc.mult_b}]",
                         association=asc.name, obj=oid)
-            if conforms(cd, cls, asc.class_b):
+            if cls in members_b:
                 n = b_deg[asc.name, oid]
                 if not asc.mult_a.contains(n):
                     yield Violation(

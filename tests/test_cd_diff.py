@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from semdiff.cd import (cddiff_summary, check_instance, classes_of,
-                        enumerate_witnesses, find_witness, is_instance)
+from semdiff.cd import (ClassDiagram, cddiff_summary, check_instance, classes_of,
+                        enumerate_witnesses, find_witness, is_instance, validate_cd)
+from semdiff.cd import diff
 from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _choose_links,
                              _count_vectors, _hosts, _universe_witness)
 from semdiff.oracle import cd_enumerate_all
@@ -196,3 +197,37 @@ def test_antisymmetry_of_witness_sets(cd_v1, cd_v2):
     sig = lambda om: (om.objects, tuple(
         sorted(om.links, key=lambda ln: (ln.association, ln.obj_a, ln.obj_b))))
     assert {sig(w) for w in left} & {sig(w) for w in right} == set()
+
+
+# ----------------------------------------------------- the per-diagram flow memo
+
+def test_each_network_shape_runs_one_max_flow(monkeypatch):
+    # one summary of the 10-class chain against its flipped copy: the memo
+    # on the left diagram answers every repeat of a network shape, and the
+    # report is the one a search without the memo gives
+    from test_golden import chain_text
+
+    def pair():
+        return (validate_cd(parse_cd(chain_text("chain_v1", 10, False))),
+                validate_cd(parse_cd(chain_text("chain_v2", 10, True))))
+
+    runs, shapes = [], set()
+    max_flow, choose_links = diff._FlowNet.max_flow, diff._choose_links
+
+    def counted(self, s, t):
+        runs.append(1)
+        return max_flow(self, s, t)
+
+    def recorded(n_a, n_b, a_rng, b_rng, forced=None):
+        shapes.add((n_a, n_b, tuple(a_rng), tuple(b_rng), forced))
+        return choose_links(n_a, n_b, a_rng, b_rng, forced)
+
+    monkeypatch.setattr(diff._FlowNet, "max_flow", counted)
+    monkeypatch.setattr(diff, "_choose_links", recorded)
+    report = cddiff_summary(*pair(), 5)
+    assert report.entries and len(runs) == len(shapes)
+
+    memo_runs = len(runs)
+    monkeypatch.setattr(ClassDiagram, "_flows", property(lambda cd: {}))
+    assert cddiff_summary(*pair(), 5) == report
+    assert len(runs) - memo_runs > memo_runs

@@ -7,7 +7,8 @@ The mutation changes multiplicities, or from RETARGET_FROM on moves one
 end of each kept association to another class and keeps its
 multiplicities, so that only link endpoints tell those pairs apart.
 The checks compare the bounded search with the exhaustive enumeration of
-`semdiff.oracle` and conformance with a parent walk written here.
+`semdiff.oracle`, and conformance, the member table and the partner
+prune with references written here, the last on deeper hierarchies.
 
 The oracle enumerates every link subset of every universe, 2^pairs models
 each, so a draw is repeated (from the same generator) until that total at
@@ -194,6 +195,65 @@ def test_conforms_matches_a_parent_walk(seed):
             for sup in queries:
                 assert conforms(cd, sub, sup) == _walk_conforms(cd, sub, sup), \
                     (cd.classes, sub, sup)
+
+
+# -- the per-diagram tables: who conforms to each class, and who needs whom --
+
+def deep_hierarchy(seed: int) -> ClassDiagram:
+    """A seeded hierarchy three or four levels deep: a root, abstract middle
+    classes under it, concrete classes under those or under each other,
+    and associations between any of them.  Unvalidated: one class extends
+    the undeclared `Ghost`."""
+    rng = random.Random(f"deep:{seed}")
+    classes = [ClassDecl("Root", rng.random() < 0.5)]
+    middles = [f"M{i}" for i in range(rng.randint(1, 3))]
+    classes += [ClassDecl(m, True, "Root") for m in middles]
+    leaves: list[str] = []
+    for i in range(rng.randint(2, 5)):
+        parent = rng.choice(middles + leaves[:1])
+        leaves.append(f"L{i}")
+        classes.append(ClassDecl(leaves[-1], rng.random() < 0.2, parent))
+    classes.append(ClassDecl("Orphan", False, "Ghost"))
+    names = [c.name for c in classes]
+    assocs = tuple(
+        Association(f"r{i + 1}", rng.choice(names), rng.choice(MULTS),
+                    rng.choice(names), rng.choice(MULTS))
+        for i in range(rng.randint(2, 4)))
+    return ClassDiagram(f"deep{seed}", tuple(classes), assocs)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_member_table_matches_a_parent_walk(seed):
+    cd = deep_hierarchy(seed)
+    assert any(_walk_conforms(cd, c.name, "Root") and c.parent not in ("Root", None)
+               for c in cd.classes)  # three levels at least
+    queries = [c.name for c in cd.classes] + ["Ghost", "Nobody"]
+    for sup in queries:
+        assert cd.members(sup) <= set(queries)
+        for sub in queries:
+            assert (sub in cd.members(sup)) == conforms(cd, sub, sup) == \
+                _walk_conforms(cd, sub, sup), (sub, sup)
+
+
+def _may_instantiate_by_conforms(cd: ClassDiagram, class_set) -> bool:
+    for a in cd.associations:
+        for own, rng, other in ((a.class_a, a.mult_b, a.class_b),
+                                (a.class_b, a.mult_a, a.class_a)):
+            if rng.lo >= 1 and any(conforms(cd, c, own) for c in class_set) and \
+               not any(conforms(cd, c, other) for c in class_set):
+                return False
+    return True
+
+
+def test_may_instantiate_matches_a_conforms_reference():
+    verdicts = set()
+    for seed in SEEDS:
+        cd = deep_hierarchy(seed)
+        for cs in _candidate_class_sets(cd, len(cd.classes)):
+            verdict = _may_instantiate(cd, cs)
+            assert verdict == _may_instantiate_by_conforms(cd, cs), (seed, cs)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- the cover: class sets proven free of witnesses without a search ----------

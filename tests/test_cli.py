@@ -472,12 +472,13 @@ def test_product_deeper_than_the_recursion_limit_exits_4(capsys, tmp_path):
     assert out.startswith("addiff stop vs halt (trace semantics): 1 difference class(es)")
 
 
-DEEP_GUARDS = {  # run as a process, each overflows a different recursion:
-    # the parser's descent, `_unary`, the type check, the encoder printing it
+DEEP_GUARDS = {  # run as a process, each overflows a recursion: the
+    # parser's descent, `_unary`, the type check (both sums, the shorter
+    # one past the 900 terms `test_a_long_sum_guard_is_answered` runs)
     "parentheses": "(" * 3000 + "tickets < 8" + ")" * 3000,
     "negations": "!" * 3000 + "tickets < 8",
     "sum-of-3000": " + ".join(["tickets"] * 3000) + " > 1",
-    "sum-of-400": " + ".join(["tickets"] * 400) + " > 1",
+    "sum-of-2000": " + ".join(["tickets"] * 2000) + " < 8",
 }
 
 
@@ -489,6 +490,25 @@ def test_a_guard_nested_past_the_recursion_limit_exits_4(capsys, tmp_path, shape
     assert (code, out) == (4, "")
     assert err == ("error: limit reached: recursion deeper than Python's limit of "
                    f"{sys.getrecursionlimit()}\n")
+
+
+def _sum_guard(tmp_path, terms: int) -> str:
+    """ad_v1 with its `tickets < 8` guard's left side a sum of `terms` terms."""
+    path = tmp_path / f"sum{terms}.ad"
+    guard = " + ".join(["tickets"] * terms) + " < 8"
+    path.write_text(fixture_text("ad_v1.ad").replace("[tickets < 8]", f"[{guard}]"))
+    return str(path)
+
+
+@pytest.mark.parametrize("terms", [400, 600, 900])
+def test_a_long_sum_guard_is_answered(capsys, tmp_path, terms):
+    # the encoder orders edges by their printed guards; printing walks the
+    # sum's left spine in a loop, not one call per term
+    code, out, err = run(capsys, "addiff", AD1, _sum_guard(tmp_path, terms))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:4] == ["  [1] register -> welcome_msg",
+                                     "      (tickets ∈ [1..7])",
+                                     "      trace: tickets=1: register -> welcome_msg"]
 
 
 def test_oracle_state_budget_exits_4(capsys, monkeypatch):

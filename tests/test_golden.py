@@ -5,8 +5,9 @@ Each case runs `semdiff.cli.main` in process, exactly as
 byte with tests/golden/<case>.out and its exit status with
 tests/golden/status.json.  Generated pairs, too large to store whole
 (forks of width 3-5 against a copy with moved edges, a counter loop
-over 0..40, the ticket pipeline over 0..767, both directions each), are
-pinned by the sha256 of their stdout and their exit status in
+over 0..40, the ticket pipeline over 0..767, a 10-class chain against
+its flipped copy with and without the summary, both directions each),
+are pinned by the sha256 of their stdout and their exit status in
 tests/golden/generated.json.  Engine changes that claim to preserve
 behaviour must leave every case untouched.  When an output change is
 intended, regenerate the files from the root of the checkout with
@@ -137,15 +138,39 @@ def pipeline_text(name: str, hi: int, threshold: int, concurrent: bool) -> str:
     return f"activitydiagram {name} {{\n" + "".join(f"  {ln}\n" for ln in body) + "}\n"
 
 
-def _generated_pairs() -> dict[str, tuple[str, str]]:
+def chain_text(name: str, classes: int, flipped: bool) -> str:
+    """A chain of `classes` classes whose associations alternate tight
+    ([1]) and loose ([0..1]) ends; `flipped` swaps the pattern.  Classes
+    extend, in turn, the abstract `Item`, the abstract `Part` below it,
+    and nothing, and `owner` links a `Part` to `Item`s: which objects an
+    association counts is decided through two levels of `extends`."""
+    names = [chr(ord("A") + i) for i in range(classes)]
+    decls = ["class Item abstract;", "class Part abstract extends Item;"]
+    for i, c in enumerate(names):
+        parent = ("Item", "Part", None)[i % 3]
+        decls.append(f"class {c} extends {parent};" if parent else f"class {c};")
+    assocs = []
+    for i, (a, b) in enumerate(zip(names, names[1:])):
+        ma, mb = ("1", "0..1") if (i % 2 == 0) != flipped else ("0..1", "1")
+        assocs.append(f"association r{i + 1} [{ma}] {a} -- {b} [{mb}];")
+    assocs.append("association owner [0..1] Part -- Item [0..2];")
+    return f"classdiagram {name} {{\n" + "".join(
+        f"  {ln}\n" for ln in decls + assocs) + "}\n"
+
+
+def _generated_pairs() -> dict[str, tuple[str, str, str, tuple[str, ...]]]:
+    """name -> (command, v1 text, v2 text, flags)"""
     pairs = {}
     for w in (3, 4, 5):
-        pairs[f"fork{w}"] = (fork_text(f"fork{w}_v1", w, "ship"),
-                             fork_text(f"fork{w}_v2", w, "archive", moves=3))
-    pairs["counter40"] = (counter_text("count_v1", 40, "stop"),
-                          counter_text("count_v2", 40, "halt"))
-    pairs["tickets767"] = (pipeline_text("tickets_v1", 767, 300, False),
-                           pipeline_text("tickets_v2", 767, 420, True))
+        pairs[f"fork{w}"] = ("addiff", fork_text(f"fork{w}_v1", w, "ship"),
+                             fork_text(f"fork{w}_v2", w, "archive", moves=3), ())
+    pairs["counter40"] = ("addiff", counter_text("count_v1", 40, "stop"),
+                          counter_text("count_v2", 40, "halt"), ())
+    pairs["tickets767"] = ("addiff", pipeline_text("tickets_v1", 767, 300, False),
+                           pipeline_text("tickets_v2", 767, 420, True), ())
+    chain = (chain_text("chain_v1", 10, False), chain_text("chain_v2", 10, True))
+    pairs["chain10"] = ("cddiff", *chain, ("--scope", "5"))
+    pairs["chain10-no-summary"] = ("cddiff", *chain, ("--scope", "5", "--no-summary"))
     return pairs
 
 
@@ -155,16 +180,16 @@ GENERATED_CASES = sorted(f"{name}-{d}" for name in GENERATED_PAIRS
 
 
 def run_generated(case: str, directory: Path) -> tuple[int, str]:
-    name, direction = case.split("-", 1)
-    left, right = GENERATED_PAIRS[name]
-    if direction == "v2-v1":
+    name, first, _ = case.rsplit("-", 2)
+    command, left, right, flags = GENERATED_PAIRS[name]
+    if first == "v2":
         left, right = right, left
     paths = []
     for side, text in (("left", left), ("right", right)):
-        path = directory / f"{case}-{side}.ad"
+        path = directory / f"{case}-{side}.{command[:2]}"
         path.write_text(text, encoding="utf-8")
         paths.append(str(path))
-    status, out = run_case(["addiff", *paths])
+    status, out = run_case([command, *paths, *flags])
     return status, hashlib.sha256(out).hexdigest()
 
 
