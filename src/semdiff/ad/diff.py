@@ -85,14 +85,13 @@ class SymbolicTrace:
 
 @dataclass(frozen=True)
 class DiffTrace:
-    """One concrete divergence: replaying `actions` from `valuation`
-    succeeds in the left diagram; the right diagram matches every proper
-    prefix but not the full list.  configs holds the left diagram's
-    replay states, len(actions) + 1 of them."""
+    """One concrete divergence, as a report shows it: the left diagram
+    takes `actions` from `valuation`, and the right diagram matches every
+    proper prefix (and, when trace-exact, not the full list); constraint
+    renders the input set the valuation was picked from."""
 
     valuation: tuple[tuple[str, int], ...]
     actions: tuple[str, ...]
-    configs: tuple[Configuration, ...]
     constraint: str
 
 
@@ -344,41 +343,27 @@ def _starts(enc: ProductEncoding, ad: ActivityDiagram,
     return hit
 
 
-def _replay(enc: ProductEncoding, ad: ActivityDiagram, at: Configuration,
-            actions: tuple[str, ...]) -> list[Configuration] | None:
-    """Leftmost path through ad realizing the action list, if any.
-
-    Depth first with an explicit stack: untried[i] holds the successors
-    of path[i] under actions[i] not yet explored, leftmost first."""
-    path = [at]
-    untried: list = []
-    while len(path) <= len(actions):
-        if len(untried) < len(path):
-            a = actions[len(path) - 1]
-            untried.append(iter([s.successor for s in _steps(enc, ad, path[-1])
-                                 if s.action == a]))
-        nxt = next(untried[-1], None)
-        if nxt is not None:
-            path.append(nxt)
-            continue
-        untried.pop()
-        path.pop()
-        if not path:
-            return None
-    return path
+def _follow(enc: ProductEncoding, ad: ActivityDiagram, starts: list[Configuration],
+            actions: tuple[str, ...]) -> list[set[Configuration]]:
+    """The configurations of ad reached from starts along each prefix of
+    actions, the empty prefix first: len(actions) + 1 sets."""
+    out = [set(starts)]
+    for a in actions:
+        out.append({s.successor for c in out[-1]
+                    for s in _steps(enc, ad, c) if s.action == a})
+    return out
 
 
 def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffTrace:
     """Pick the least valuation of st and replay it explicitly.
 
-    The left diagram must realize the full action list.  When the
-    direction is trace-exact the right diagram is co-replayed as a state
-    set and must match every proper prefix but not the final action;
-    under simulation semantics those two checks do not hold in general
-    and are skipped.  Any violated check raises ReplayMismatchError.
-    The valuation and its rendering are computed once per input set, and
-    start configurations and steps come from the encoding's caches;
-    every trace is still replayed.
+    Both diagrams are followed as state sets (_follow).  The left one
+    must have one start and take the full list.  The right one must
+    match every proper prefix, which forward_split emits as joint steps
+    under either semantics, and, when the direction is trace-exact, not
+    the full list.  A violated check raises ReplayMismatchError.  The
+    valuation and its rendering are computed once per input set, and
+    starts and steps come from the encoding's caches.
     """
     ad1, ad2 = enc.left.ad, enc.right.ad
     # the rendering reads the node alone: every trace has the report bundles
@@ -394,24 +379,20 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
     if len(start) != 1:
         raise ReplayMismatchError(
             f"{ad1.name}: {len(start)} initial states for {valuation}")
-    path = _replay(enc, ad1, start[0], st.actions)
-    if path is None:
+    if not _follow(enc, ad1, start, st.actions)[-1]:
         raise ReplayMismatchError(
             f"{ad1.name} cannot replay {list(st.actions)} from {valuation}")
 
-    states = set(_starts(enc, ad2, valuation))
-    for i, a in enumerate(st.actions[:-1]):
-        states = {s.successor for c in states
-                  for s in _steps(enc, ad2, c) if s.action == a}
-        if exact and not states:
+    right = _follow(enc, ad2, _starts(enc, ad2, valuation), st.actions)
+    for i in range(1, len(st.actions)):
+        if not right[i]:
             raise ReplayMismatchError(
-                f"{ad2.name} cannot match the prefix {list(st.actions[:i + 1])}")
-    if exact and any(s.action == st.actions[-1]
-                     for c in states for s in _steps(enc, ad2, c)):
+                f"{ad2.name} cannot match the prefix {list(st.actions[:i])}")
+    if exact and right[-1]:
         raise ReplayMismatchError(
             f"{ad2.name} matches the whole of {list(st.actions)}")
 
-    return DiffTrace(valuation, st.actions, tuple(path), constraint)
+    return DiffTrace(valuation, st.actions, constraint)
 
 
 def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],

@@ -107,7 +107,6 @@ class AdBank:
 @dataclass
 class ProductEncoding:
     manager: BddManager
-    alphabet: tuple[str, ...]
     left: AdBank
     right: AdBank
     input_match: int  # shared-name inputs agree by value
@@ -135,7 +134,6 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     left = AdBank(ad1)
     right = AdBank(ad2)
 
-    alphabet = tuple(sorted(set(ad1.action_names()) | set(ad2.action_names())))
     _allocate_inputs(m, left, right)
     _allocate_state(m, left, right)
     depth = (sys.getrecursionlimit() - _RESERVED_FRAMES) // 2
@@ -148,7 +146,7 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     # left.input_bundles is filled in declaration order
     report = tuple(left.input_bundles.values()) + tuple(
         right.input_bundles[v.name] for v in ad2.inputs if v.name not in shared)
-    enc = ProductEncoding(m, alphabet, left, right,
+    enc = ProductEncoding(m, left, right,
                           _input_match(m, left, right, shared),
                           report, frozenset(lvl for b in report for lvl in b.levels))
 

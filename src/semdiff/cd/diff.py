@@ -31,11 +31,11 @@ A "no differences" answer reached through the whole-diagram cover holds at
 every size, not only up to the scope; stdout does not say which way it was
 reached.
 
-Facts of one diagram are worked out once, on first use, and kept on it:
-the classes conforming to each class, the partner needs the prune reads,
-and each flow network's answer by its shape, which `_choose_links` alone
-decides (a 7-class chain at scope 5 asks 171 flows of 5 shapes).  Once per
-run come the candidate sets, the whole-diagram cover and the skip table.
+Facts of one diagram (the classes conforming to each class, the partner
+needs the prune reads) are worked out once, on first use, and kept on it.
+Once per run come the candidate sets, the whole-diagram cover, the skip
+table and each flow network's answer by its shape, which `_choose_links`
+alone decides (a 7-class chain at scope 5 asks 171 flows of 5 shapes).
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def _assoc_links(asc: Association, a_objs: list[str], b_objs: list[str],
 
 
 def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
-                      name: str) -> ObjectModel | None:
+                      name: str, flows: dict) -> ObjectModel | None:
     """A witness instantiating exactly `objects`, or None when none exists.
 
     Builds a canonical cd1-instance first; if that conforms to cd2, any
@@ -370,23 +370,25 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
     outside cd2's range, and each candidate bend is tried directly.  The
     count of links not owned by cd1 associations is zero in every
     cd1-instance, so conformance of the canonical instance rules those out.
-    Link flows are decided through cd1's memo of `_choose_links` answers.
+    An association no object can join is skipped: it has no link to bend.
+    `flows` is the run's memo of `_choose_links` answers.
     """
-    flows = cd1._flows
     base: dict[str, tuple[Link, ...]] = {}
     hosts: dict[str, tuple[list[str], list[str]]] = {}  # per universe, not per call
     for asc in cd1.associations:
-        hosts[asc.name] = _hosts(cd1, asc, objects)
-        links = _assoc_links(asc, *hosts[asc.name], flows=flows)
+        ends = _hosts(cd1, asc, objects)
+        if not (ends[0] or ends[1]):
+            continue
+        links = _assoc_links(asc, *ends, flows=flows)
         if links is None:
             return None  # universe admits no cd1-instance
-        base[asc.name] = links
+        hosts[asc.name], base[asc.name] = ends, links
 
     def build(override_name: str | None = None,
               override: tuple[Link, ...] = ()) -> ObjectModel:
         links: list[Link] = []
-        for asc in cd1.associations:
-            links.extend(override if asc.name == override_name else base[asc.name])
+        for asc_name, chosen in base.items():
+            links.extend(override if asc_name == override_name else chosen)
         om = ObjectModel(name, objects, tuple(links))
         if not is_instance(om, cd1):
             raise WitnessCheckError(f"a model built as an instance of {cd1.name} is not one")
@@ -398,6 +400,8 @@ def _universe_witness(cd1: ClassDiagram, cd2: ClassDiagram, objects,
 
     cls_of = dict(objects)
     for asc in sorted(cd1.associations, key=lambda a: a.name):
+        if asc.name not in hosts:
+            continue
         a_objs, b_objs = hosts[asc.name]
         asc2 = cd2.association(asc.name)
         ok_a, ok_b = (cd2.members(asc2.class_a), cd2.members(asc2.class_b)) if asc2 else ((), ())
@@ -443,8 +447,9 @@ def _witnessed_universes(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
     if _covered(cd1, cd2, cd1.concrete_classes()):
         return
     skip: dict[ClassSet, bool] = {}  # True: covered, or witnessed under first_only
+    flows: dict = {}  # _choose_links answers, shared by every universe of the run
     for cs, objects in _universes(cd1, scope, skip):
-        om = _universe_witness(cd1, cd2, objects, "witness")
+        om = _universe_witness(cd1, cd2, objects, "witness", flows)
         if om is None:
             if cs not in skip:
                 skip[cs] = _covered(cd1, cd2, cs)

@@ -144,11 +144,6 @@ class ClassDiagram:
         return tuple((self.members(own), self.members(other)) for a in self.associations
                      for own, rng, other in a.ends() if rng.lo >= 1)
 
-    @cached_property
-    def _flows(self) -> dict:
-        """`cd.diff._choose_links` answers by arguments, for searches from here."""
-        return {}
-
 
 @dataclass(frozen=True)
 class Link:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from semdiff.ad import build_explicit_ts, validate_ad
+from semdiff.ad import build_explicit_ts, diff, validate_ad
 from semdiff.ad.diff import (
     DiffLayers,
+    ReplayMismatchError,
     SymbolicTrace,
     addiff,
     backward_fixpoint,
@@ -63,7 +64,7 @@ def test_symbolic_enabledness_matches_explicit_ts(which, request):
     for i, cfg in enumerate(ts.states):
         explicit = {a for a, _ in ts.steps[i]}
         asg = bank_assignment(enc.left, cfg)
-        for a in enc.alphabet:
+        for a in ad.action_names():
             en = enc.left.en_by_action.get(a, 0)
             assert enc.manager.eval_node(en, asg) == (a in explicit), (cfg, a)
 
@@ -106,7 +107,6 @@ def test_layer_chain_counts_forcing_distance():
     rep = concretize(enc, traces[0], exact=True)
     assert rep.actions == ("a", "b", "c", "d")
     assert rep.valuation == ()
-    assert len(rep.configs) == 5
 
 
 def test_disjoint_alphabets_diverge_immediately():
@@ -308,7 +308,69 @@ def test_representatives_replay_as_differences(ad_v1, ad_v2, ad_v3):
         for e in res.action_lists.entries:
             rep = e.representative
             assert is_diff_trace(left, right, dict(rep.valuation), rep.actions)
-            assert len(rep.configs) == len(rep.actions) + 1
+
+
+# -- concretize's own checks -------------------------------------------------
+
+
+def _pinned(enc, actions: tuple[str, ...], tickets: int) -> SymbolicTrace:
+    """A hand-built trace of actions from the one valuation tickets."""
+    m = enc.manager
+    (b,) = enc.report_bundles
+    return SymbolicTrace(actions, SymbolicSet(m, m.value_cube(b, tickets)), enc.report_bundles)
+
+
+def _mismatch(enc, st: SymbolicTrace) -> str:
+    with pytest.raises(ReplayMismatchError) as err:
+        concretize(enc, st, exact=True)
+    return str(err.value)
+
+
+def test_a_left_list_the_left_diagram_cannot_take_is_a_mismatch(ad_v1, ad_v2):
+    enc = encode_product(ad_v2, ad_v1)
+    assert _mismatch(enc, _pinned(enc, ("register", "report"), 8)) == \
+        "ad_v2 cannot replay ['register', 'report'] from (('tickets', 8),)"
+
+
+def test_a_prefix_the_right_diagram_cannot_match_is_a_mismatch(ad_v1, ad_v2):
+    # with 8 tickets ad_v1 stops after register; ad_v2 goes on to 12
+    enc = encode_product(ad_v2, ad_v1)
+    assert _mismatch(enc, _pinned(enc, ("register", "welcome_msg", "reserve"), 8)) == \
+        "ad_v1 cannot match the prefix ['register', 'welcome_msg']"
+
+
+def test_a_list_the_right_diagram_matches_whole_is_a_mismatch(ad_v1, ad_v2):
+    enc = encode_product(ad_v2, ad_v1)
+    assert _mismatch(enc, _pinned(enc, ("register", "welcome_msg"), 0)) == \
+        "ad_v1 matches the whole of ['register', 'welcome_msg']"
+
+
+def test_a_valuation_with_two_left_starts_is_a_mismatch(ad_v1, ad_v2, monkeypatch):
+    starts = diff.initial_configs
+    monkeypatch.setattr(diff, "initial_configs", lambda ad, pinned: starts(ad, pinned) * 2)
+    enc = encode_product(ad_v2, ad_v1)
+    assert _mismatch(enc, _pinned(enc, ("register", "welcome_msg"), 8)) == \
+        "ad_v2: 2 initial states for (('tickets', 8),)"
+
+
+def test_the_right_prefix_is_checked_under_simulation_too(monkeypatch):
+    # the right diagram's extra input keeps this direction at simulation;
+    # every proper prefix of a split list is still a run of joint steps
+    left = chain("left", ["a", "b"])
+    right = _ad("""activitydiagram right {
+      input x : 0..1;
+      initial i; action a; action c; final f;
+      edge i -> a; edge a -> c; edge c -> f;
+    }""")
+    res = addiff(left, right)
+    assert res.semantics == "simulation"
+    assert [st.actions for st in res.traces] == [("a", "b")]
+    steps = diff.observable_steps
+    monkeypatch.setattr(diff, "observable_steps",
+                        lambda ad, c: [] if ad is right else steps(ad, c))
+    with pytest.raises(ReplayMismatchError) as err:
+        addiff(left, right)
+    assert str(err.value) == "right cannot match the prefix ['a']"
 
 
 # -- resource guard ----------------------------------------------------------

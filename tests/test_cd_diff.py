@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from semdiff.cd import (ClassDiagram, cddiff_summary, check_instance, classes_of,
-                        enumerate_witnesses, find_witness, is_instance, validate_cd)
+from semdiff.cd import (cddiff_summary, check_instance, classes_of, enumerate_witnesses,
+                        find_witness, is_instance, validate_cd)
 from semdiff.cd import diff
 from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _choose_links,
                              _count_vectors, _hosts, _universe_witness)
@@ -156,7 +158,7 @@ def test_universe_decision_agrees_with_summary_keys(cd_v1, cd_v2):
                 objects = tuple(
                     (f"{c.lower()}{i}", c)
                     for c, n in zip(cs, counts) for i in range(1, n + 1))
-                om = _universe_witness(cd_v2, cd_v1, objects, "probe")
+                om = _universe_witness(cd_v2, cd_v1, objects, "probe", {})
                 key = tuple(sorted(zip(cs, counts)))
                 assert (om is not None) == (key in witnessed), key
 
@@ -199,12 +201,12 @@ def test_antisymmetry_of_witness_sets(cd_v1, cd_v2):
     assert {sig(w) for w in left} & {sig(w) for w in right} == set()
 
 
-# ----------------------------------------------------- the per-diagram flow memo
+# ---------------------------------------------------------- the per-run flow memo
 
 def test_each_network_shape_runs_one_max_flow(monkeypatch):
-    # one summary of the 10-class chain against its flipped copy: the memo
-    # on the left diagram answers every repeat of a network shape, and the
-    # report is the one a search without the memo gives
+    # one summary of the 10-class chain against its flipped copy: the
+    # run's memo answers every repeat of a network shape, and the report
+    # is the one a search without the memo gives
     from test_golden import chain_text
 
     def pair():
@@ -228,6 +230,29 @@ def test_each_network_shape_runs_one_max_flow(monkeypatch):
     assert report.entries and len(runs) == len(shapes)
 
     memo_runs = len(runs)
-    monkeypatch.setattr(ClassDiagram, "_flows", property(lambda cd: {}))
+    witness = diff._universe_witness
+    monkeypatch.setattr(diff, "_universe_witness",
+                        lambda cd1, cd2, objects, name, flows: witness(cd1, cd2, objects, name, {}))
     assert cddiff_summary(*pair(), 5) == report
     assert len(runs) - memo_runs > memo_runs
+
+
+def test_no_association_without_hosts_asks_for_links(monkeypatch, tmp_path):
+    # one summary of the golden 10-class chain: an association no object
+    # of a universe can join is passed over, and stdout keeps its digest
+    from test_golden import GENERATED, run_generated
+
+    calls, hostless = [], []
+    assoc_links = diff._assoc_links
+
+    def counted(asc, a_objs, b_objs, **kw):
+        calls.append(1)
+        if not (a_objs or b_objs):
+            hostless.append(asc.name)
+        return assoc_links(asc, a_objs, b_objs, **kw)
+
+    monkeypatch.setattr(diff, "_assoc_links", counted)
+    status, digest = run_generated("chain10-v1-v2", tmp_path)
+    want = json.loads(GENERATED.read_text(encoding="utf-8"))["chain10-v1-v2"]
+    assert (status, digest) == (want["status"], want["sha256"])
+    assert calls and hostless == []

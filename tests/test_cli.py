@@ -556,7 +556,7 @@ def test_witness_check_failure_exits_5(capsys, monkeypatch, name, fake, says):
 ])
 def test_a_faulty_universe_witness_exits_5(capsys, monkeypatch, objects, flags, says):
     monkeypatch.setattr("semdiff.cd.diff._universe_witness",
-                        lambda cd1, cd2, universe, name: ObjectModel(name, objects, ()))
+                        lambda cd1, cd2, universe, name, flows: ObjectModel(name, objects, ()))
     code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", *flags)
     assert (code, out) == (5, "")
     (line,) = err.splitlines()
