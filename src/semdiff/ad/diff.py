@@ -31,10 +31,9 @@ from __future__ import annotations
 from ..bdd import FALSE, TRUE, BddManager, SymbolicSet, VarBundle
 from ..errors import InternalError
 from ..record import record as dataclass
-from ..summary import PartitionKey, SummaryEntry, SummaryReport, summarize
+from ..summary import PartitionKey, SummaryReport, summarize
 from .encode import DEFAULT_BIT_BUDGET, ProductEncoding, encode_product
-from .model import (ActivityDiagram, Configuration, ObservableStep,
-                    initial_configs, observable_steps)
+from .model import ActivityDiagram, Configuration, initial_configs, observable_steps
 
 
 class ReplayMismatchError(InternalError, RuntimeError):
@@ -321,25 +320,13 @@ def render_inputs(st: SymbolicTrace) -> str:
     return text if product == node else text + " (projection)"
 
 
-def _steps(enc: ProductEncoding, ad: ActivityDiagram,
-           c: Configuration) -> list[ObservableStep]:
-    """observable_steps(ad, c), computed once per diagram and
-    configuration for the whole run."""
-    key = (id(ad), c)
-    hit = enc.steps.get(key)
+def _memo(table: dict, key: tuple, fn, *args):
+    """fn(*args), computed once per key for the whole run.  The replay
+    passes observable_steps and initial_configs as this module names
+    them at the call, so a patched name takes effect."""
+    hit = table.get(key)
     if hit is None:
-        hit = enc.steps[key] = observable_steps(ad, c)
-    return hit
-
-
-def _starts(enc: ProductEncoding, ad: ActivityDiagram,
-            valuation: tuple[tuple[str, int], ...]) -> list[Configuration]:
-    """initial_configs(ad) pinned to valuation, computed once per
-    diagram and valuation for the whole run."""
-    key = (id(ad), valuation)
-    hit = enc.starts.get(key)
-    if hit is None:
-        hit = enc.starts[key] = initial_configs(ad, dict(valuation))
+        hit = table[key] = fn(*args)
     return hit
 
 
@@ -350,7 +337,8 @@ def _follow(enc: ProductEncoding, ad: ActivityDiagram, starts: list[Configuratio
     out = [set(starts)]
     for a in actions:
         out.append({s.successor for c in out[-1]
-                    for s in _steps(enc, ad, c) if s.action == a})
+                    for s in _memo(enc.steps, (id(ad), c), observable_steps, ad, c)
+                    if s.action == a})
     return out
 
 
@@ -375,7 +363,7 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
                                   render_inputs(st))
     valuation, constraint = hit
 
-    start = _starts(enc, ad1, valuation)
+    start = _memo(enc.starts, (id(ad1), valuation), initial_configs, ad1, dict(valuation))
     if len(start) != 1:
         raise ReplayMismatchError(
             f"{ad1.name}: {len(start)} initial states for {valuation}")
@@ -383,7 +371,8 @@ def concretize(enc: ProductEncoding, st: SymbolicTrace, *, exact: bool) -> DiffT
         raise ReplayMismatchError(
             f"{ad1.name} cannot replay {list(st.actions)} from {valuation}")
 
-    right = _follow(enc, ad2, _starts(enc, ad2, valuation), st.actions)
+    right = _follow(enc, ad2, _memo(enc.starts, (id(ad2), valuation), initial_configs,
+                                    ad2, dict(valuation)), st.actions)
     for i in range(1, len(st.actions)):
         if not right[i]:
             raise ReplayMismatchError(
@@ -400,34 +389,28 @@ def summarize_action_list(enc: ProductEncoding, traces: list[SymbolicTrace],
     """One entry per action list, annotated with its input constraint."""
     return summarize((concretize(enc, st, exact=exact) for st in traces),
                      lambda rep: PartitionKey.action_list(rep.actions),
-                     direction=(enc.left.ad.name, enc.right.ad.name),
                      partition_kind="action-list", annotate=lambda rep: rep.constraint)
 
 
 def summarize_action_set(enc: ProductEncoding, traces: list[SymbolicTrace],
                          action_lists: SummaryReport) -> SummaryReport:
-    """One entry per action-name set.
-
-    The representative is the one action_lists, the action-list summary
-    of the same traces, holds for the first trace of the class (the
-    least action list, traces being sorted); the annotation covers the
-    whole class, so it renders the union of the members' input sets.
-    """
+    """One entry per action-name set, folded by summarize from the traces
+    in their sorted order, each read as the representative action_lists
+    (the action-list summary of the same traces) holds for it, so a class
+    keeps the one of its least action list.  The annotation renders the
+    union of the class members' input sets."""
     m = enc.manager
     reps = {e.key.names: e.representative for e in action_lists.entries}
-    clusters: dict[PartitionKey, list[SymbolicTrace]] = {}
+    keys: dict[tuple[str, ...], PartitionKey] = {}
+    unions: dict[tuple[str, ...], int] = {}  # by key names: a tuple hashes in C
     for st in traces:
-        clusters.setdefault(PartitionKey.action_set(st.actions), []).append(st)
-    entries = []
-    for key, members in clusters.items():
-        union = FALSE
-        for st in members:
-            union = m.bor(union, st.init_inputs.node)
-        family = SymbolicTrace(members[0].actions, SymbolicSet(m, union), enc.report_bundles)
-        entries.append(SummaryEntry(key, reps[members[0].actions], render_inputs(family)))
-    entries.sort(key=lambda e: e.key.payload)
-    return SummaryReport((enc.left.ad.name, enc.right.ad.name),
-                         "action-set", entries)
+        key = keys[st.actions] = PartitionKey.action_set(st.actions)
+        unions[key.names] = m.bor(unions.get(key.names, FALSE), st.init_inputs.node)
+    return summarize((reps[st.actions] for st in traces), lambda rep: keys[rep.actions],
+                     partition_kind="action-set",
+                     annotate=lambda rep: render_inputs(SymbolicTrace(
+                         rep.actions, SymbolicSet(m, unions[keys[rep.actions].names]),
+                         enc.report_bundles)))
 
 
 @dataclass(frozen=True)
@@ -438,8 +421,6 @@ class AdDiffResult:
     for this direction and "simulation" when it may only witness a
     failure of simulation (see trace_exact)."""
 
-    left_name: str
-    right_name: str
     semantics: str
     traces: tuple[SymbolicTrace, ...]
     action_lists: SummaryReport
@@ -470,8 +451,5 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     traces = forward_split(enc, layers)
     clear()
     lists = summarize_action_list(enc, traces, exact=exact)
-    return AdDiffResult(
-        ad1.name, ad2.name,
-        "trace" if exact else "simulation",
-        tuple(traces), lists,
-        summarize_action_set(enc, traces, lists))
+    return AdDiffResult("trace" if exact else "simulation", tuple(traces), lists,
+                        summarize_action_set(enc, traces, lists))

@@ -114,9 +114,9 @@ class ProductEncoding:
     # declaration order, then inputs only the right diagram declares
     report_bundles: tuple[VarBundle, ...]
     report_levels: frozenset[int]  # the levels of report_bundles
-    # observable steps per (id(diagram), configuration); see ad.diff._steps
+    # observable steps per (id(diagram), configuration); see ad.diff._memo
     steps: dict = field(default_factory=dict)
-    # start configurations per (id(diagram), pinned valuation); see ad.diff._starts
+    # start configurations per (id(diagram), pinned valuation); see ad.diff._memo
     starts: dict = field(default_factory=dict)
     # least valuation and rendering per input-set node; see ad.diff.concretize
     inputs: dict = field(default_factory=dict)

@@ -4,12 +4,13 @@ A witness is an object model valid in cd1 and invalid in cd2.  The search
 visits object universes (class multisets within scope) in one order:
 ascending object count, class sets in canonical order, object counts in
 composition order.  One loop (`_witnessed_universes`) walks it, decides
-each universe at most once and re-checks every witness it finds; the
-summary keeps the first witness of each class set, skipping the set from
-then on, and the enumeration streams every instance of each witnessed
-universe.  A class set is skipped up front when one of its classes needs
-a partner (an end with lo >= 1) that no class in the set conforms to: no
-cd1-instance instantiates such a set.
+each universe at most once and re-checks every witness it finds against
+both diagrams, so the summary and the enumeration (`--no-summary`) are
+checked alike.  The summary folds the first witness of each class set
+with `summarize`, skipping the set from then on; the enumeration streams
+every instance of each witnessed universe.  A class set is skipped up
+front when one of its classes needs a partner (an end with lo >= 1) that
+no class in the set conforms to: no cd1-instance instantiates such a set.
 
 Per universe, witness existence is decided exactly instead of by
 enumerating link sets: multiplicities bound each object's per-position link
@@ -439,9 +440,11 @@ def _witnessed_universes(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
     """(objects, witness) per witnessed universe, in search order; with
     first_only, a class set is skipped after its first witness.
 
-    Each witness is re-checked against cd2.  A set is tested for a cover
-    only once one of its universes has no witness, so sets that are
-    witnessed at once never pay for the test.
+    Each witness is re-checked here, valid in cd1 (check_instance) and
+    not an instance of cd2, else WitnessCheckError; _universe_witness
+    checks each model it builds against cd1 as well.  A set is tested
+    for a cover only once one of its universes has no witness, so sets
+    that are witnessed at once never pay for the test.
     """
     _check_scope(scope)
     if _covered(cd1, cd2, cd1.concrete_classes()):
@@ -454,6 +457,10 @@ def _witnessed_universes(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
             if cs not in skip:
                 skip[cs] = _covered(cd1, cd2, cs)
             continue
+        verdict = check_instance(om, cd1)
+        if not verdict.ok:
+            raise WitnessCheckError(
+                f"a witness is invalid in {cd1.name}: {verdict.violations}")
         if is_instance(om, cd2):
             raise WitnessCheckError(f"a witness is an instance of {cd2.name}")
         if first_only:
@@ -490,14 +497,10 @@ def enumerate_witnesses(cd1: ClassDiagram, cd2: ClassDiagram, scope: int,
 
 def cddiff_summary(cd1: ClassDiagram, cd2: ClassDiagram,
                    scope: int = 10) -> SummaryReport:
-    """One representative witness per instantiated class set, exhaustively."""
+    """One representative witness per instantiated class set, exhaustively:
+    the search loop's witnesses, re-checked there, folded by summarize.
+    They are collected first, so a span around summarize times the fold alone."""
     found = [om for _, om in _witnessed_universes(cd1, cd2, scope, True)]
-    for om in found:
-        verdict = check_instance(om, cd1)
-        if not verdict.ok:
-            raise WitnessCheckError(
-                f"a witness is invalid in {cd1.name}: {verdict.violations}")
-    return summarize(
-        found, lambda om: PartitionKey.class_set(classes_of(om)),
-        direction=(cd1.name, cd2.name), partition_kind="class-set",
-        annotate=lambda om: f"{len(om.objects)} object(s)")
+    return summarize(found, lambda om: PartitionKey.class_set(classes_of(om)),
+                     partition_kind="class-set",
+                     annotate=lambda om: f"{len(om.objects)} object(s)")

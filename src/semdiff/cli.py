@@ -7,7 +7,7 @@ instance ok, 1 no differences / not an instance, 2 usage or parse
 failure (a model file that is not UTF-8 text included), 3 oracle
 mismatch under --oracle, 4 a limit was hit (the encoder's bit budget or
 depth bound, the --oracle state budget, Python's recursion limit), 5 an
-internal error (an engine result failed its explicit replay).  Statuses
+internal error (an engine result failed its replay or re-check).  Statuses
 2, 4 and 5 print one `error: ...` line on stderr, never a traceback.
 A process whose reader closes stdout before the output is complete (say,
 `| head -c 10`) also ends in status 2.
@@ -224,7 +224,7 @@ def cmd_addiff(args: SimpleNamespace) -> int:
     ad1 = _load(args.left, ActivityDiagram)
     ad2 = _load(args.right, ActivityDiagram)
     res = addiff(ad1, ad2)
-    heading = f"addiff {res.left_name} vs {res.right_name} ({res.semantics} semantics)"
+    heading = f"addiff {ad1.name} vs {ad2.name} ({res.semantics} semantics)"
 
     if args.oracle:
         status = _ad_oracle_check(ad1, ad2, res)

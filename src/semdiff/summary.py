@@ -71,36 +71,27 @@ class SummaryEntry:
 
 @dataclass
 class SummaryReport:
-    """One diff direction, summarized.
+    """One diff direction, summarized: the partition kind and one entry
+    per class, sorted by key payload.  summarize builds every report."""
 
-    direction is (left model name, right model name): witnesses are valid in
-    the left model and not in the right one.  entries are sorted by key
-    payload.
-    """
-
-    direction: tuple[str, str]
     partition_kind: str
     entries: list[SummaryEntry] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def keys(self) -> list[PartitionKey]:
-        return [e.key for e in self.entries]
-
 
 def summarize(
     witnesses: Iterable[object],
     key_fn: Callable[[object], PartitionKey],
     *,
-    direction: tuple[str, str],
     partition_kind: str,
     annotate: Callable[[object], str] | None = None,
 ) -> SummaryReport:
     """Fold a witness stream into one representative per distinct key.
 
-    The first witness seen for a key is kept; entries come out sorted by
-    key payload.
+    The first witness seen for a key is kept, so the stream's order
+    picks the representatives; entries come out sorted by key payload.
     """
     seen: dict[PartitionKey, SummaryEntry] = {}
     for w in witnesses:
@@ -112,4 +103,4 @@ def summarize(
         if key not in seen:
             seen[key] = SummaryEntry(key, w, annotate(w) if annotate else "")
     entries = sorted(seen.values(), key=lambda e: e.key.payload)
-    return SummaryReport(direction, partition_kind, entries)
+    return SummaryReport(partition_kind, entries)

@@ -64,7 +64,6 @@ def test_witnesses_get_canonical_object_names(cd_v1, cd_v2):
 
 def test_summary_partitions_by_class_set(cd_v1, cd_v2):
     report = cddiff_summary(cd_v2, cd_v1, 6)
-    assert report.direction == ("cd_v2", "cd_v1")
     assert report.partition_kind == "class-set"
     assert [e.key.names for e in report.entries] == [
         ("Employee", "Manager"),
@@ -100,7 +99,7 @@ def test_summary_is_deterministic(cd_v1, cd_v2):
 
 
 def test_summary_accepts_plain_int_scope(cd_v1, cd_v2):
-    assert [k.names for k in cddiff_summary(cd_v2, cd_v1, 3).keys()] == \
+    assert [e.key.names for e in cddiff_summary(cd_v2, cd_v1, 3).entries] == \
         cd_enumerate_all(cd_v2, cd_v1, 3).keys()
 
 

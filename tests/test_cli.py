@@ -553,6 +553,7 @@ def test_witness_check_failure_exits_5(capsys, monkeypatch, name, fake, says):
     ((), (), "a witness is an instance of cd_v1"),
     ((), ("--no-summary",), "a witness is an instance of cd_v1"),
     ((("g1", "Ghost"),), (), "a witness is invalid in cd_v2: "),
+    ((("g1", "Ghost"),), ("--no-summary",), "a witness is invalid in cd_v2: "),
 ])
 def test_a_faulty_universe_witness_exits_5(capsys, monkeypatch, objects, flags, says):
     monkeypatch.setattr("semdiff.cd.diff._universe_witness",

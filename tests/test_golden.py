@@ -164,6 +164,10 @@ def _generated_pairs() -> dict[str, tuple[str, str, str, tuple[str, ...]]]:
     for w in (3, 4, 5):
         pairs[f"fork{w}"] = ("addiff", fork_text(f"fork{w}_v1", w, "ship"),
                              fork_text(f"fork{w}_v2", w, "archive", moves=3), ())
+    # a width-4 fork has 24 action lists per action set: pins the
+    # representative the action-set summary keeps
+    pairs["fork4-both"] = ("addiff", fork_text("fork4_v1", 4, "ship"),
+                           fork_text("fork4_v2", 4, "archive", moves=3), ("--both",))
     pairs["counter40"] = ("addiff", counter_text("count_v1", 40, "stop"),
                           counter_text("count_v2", 40, "halt"), ())
     pairs["tickets767"] = ("addiff", pipeline_text("tickets_v1", 767, 300, False),

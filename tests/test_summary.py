@@ -49,7 +49,7 @@ class TestPartitionKey:
 def test_summarize_keeps_first_witness_per_key():
     wits = ["b1", "a1", "b2", "a2", "c1"]
     rep = summarize(wits, lambda w: PartitionKey.class_set([w[0].upper()]),
-                    direction=("l", "r"), partition_kind="class-set")
+                    partition_kind="class-set")
     assert [e.key.names for e in rep.entries] == [("A",), ("B",), ("C",)]
     assert [e.representative for e in rep.entries] == ["a1", "b1", "c1"]
     assert len(rep) == 3
@@ -57,18 +57,18 @@ def test_summarize_keeps_first_witness_per_key():
 
 def test_summarize_annotation_callback():
     rep = summarize(["aa", "b"], lambda w: PartitionKey.class_set([w[0].upper()]),
-                    direction=("l", "r"), partition_kind="class-set",
+                    partition_kind="class-set",
                     annotate=lambda w: f"{len(w)} char(s)")
     assert [e.annotation for e in rep.entries] == ["2 char(s)", "1 char(s)"]
 
 
 def test_summarize_empty_stream():
     rep = summarize([], lambda w: PartitionKey.class_set(["X"]),
-                    direction=("l", "r"), partition_kind="class-set")
-    assert rep.entries == [] and rep.keys() == []
+                    partition_kind="class-set")
+    assert rep.entries == []
 
 
 def test_summarize_rejects_mismatched_kind():
     with pytest.raises(PartitionKeyError, match="does not match report kind"):
         summarize(["a"], lambda w: PartitionKey.action_set(["a"]),
-                  direction=("l", "r"), partition_kind="class-set")
+                  partition_kind="class-set")
