@@ -173,9 +173,6 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
             # negated before the rename, so the bdiff below reuses ¬d
             outside = m.rename(m.bnot(d), ren)
             for a, t1, t2 in moves:
-                if t1 == FALSE or t2 == FALSE:
-                    # no left move, or divergence already charged to d0
-                    continue
                 replies = m.bnot(m.and_exists(t2, outside, nxt2))
                 step = m.bor(step, m.and_exists(
                     t1, m.band(enc.right.en_by_action[a], replies), nxt1))

@@ -405,8 +405,6 @@ def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
     see earlier writes; a valuation where some write leaves its range
     never fires.  Each target's next bundle equals its final value and
     every other local keeps its value."""
-    if not node.effects:
-        return _frame_locals(m, bank, set())
     targets = [var for var, _ in node.effects]
     involved = [bank.bundle_for(n) for n in
                 sorted(set(targets).union(*(expr_vars(x) for _, x in node.effects)))]

@@ -631,18 +631,6 @@ class SymbolicSet:
     def __hash__(self) -> int:
         return hash((id(self.manager), self.node))
 
-    def exists(self, levels) -> "SymbolicSet":
-        return SymbolicSet(self.manager, self.manager.exists(self.node, levels))
-
-    def forall(self, levels) -> "SymbolicSet":
-        return SymbolicSet(self.manager, self.manager.forall(self.node, levels))
-
-    def rename(self, mapping: dict[int, int]) -> "SymbolicSet":
-        return SymbolicSet(self.manager, self.manager.rename(self.node, mapping))
-
-    def restrict(self, consts: dict[int, bool]) -> "SymbolicSet":
-        return SymbolicSet(self.manager, self.manager.restrict(self.node, consts))
-
 
 def mk_var(manager: BddManager, index: int) -> SymbolicSet:
     return SymbolicSet(manager, manager.var(index))

@@ -47,7 +47,8 @@ from typing import Iterator, Sequence
 from ..errors import InternalError
 from ..summary import PartitionKey, SummaryReport, summarize
 from .model import (UNBOUNDED, Association, ClassDiagram, Link, MultRange,
-                    ObjectModel, check_instance, classes_of, is_instance)
+                    ObjectModel, check_instance, classes_of, is_instance,
+                    name_objects)
 
 
 ClassSet = tuple[str, ...]  # sorted class names
@@ -135,13 +136,6 @@ def _assoc_link_sets(cd1: ClassDiagram, asc: Association, objects) -> Iterator[t
     yield from rec(0)
 
 
-def _universe_objects(class_set: ClassSet, counts: tuple[int, ...]):
-    objects = []
-    for cls, n in zip(class_set, counts):
-        objects.extend((f"{cls.lower()}{i}", cls) for i in range(1, n + 1))
-    return tuple(objects)
-
-
 def _may_instantiate(cd1: ClassDiagram, class_set: ClassSet) -> bool:
     """False when some class of the set needs a partner (an end with lo >= 1)
     that no class of the set can be; then no cd1-instance has this set."""
@@ -215,7 +209,7 @@ def _universes(cd1: ClassDiagram, scope: int,
                 for counts in _count_vectors(total, len(cs)):
                     if skip.get(cs):
                         break
-                    yield cs, _universe_objects(cs, counts)
+                    yield cs, name_objects(zip(cs, counts))
 
 
 def _universe_instances(cd1: ClassDiagram, objects,

@@ -159,6 +159,19 @@ class ObjectModel:
     links: tuple[Link, ...]
 
 
+def name_objects(counts) -> tuple[tuple[str, str], ...]:
+    """(object id, class) for n objects of each (class, n) in `counts`, in
+    that order.  The i-th object of class C is C lowercased, then i; where
+    two of those ids coincide (classes `A` and `a`, or eleven `A` objects
+    and one `A1`), every object is `C_i` instead, distinct for distinct
+    classes.  The ids depend on the counts, not on their order."""
+    counts = tuple(counts)
+    objects = tuple((f"{cls.lower()}{i}", cls) for cls, n in counts for i in range(1, n + 1))
+    if len({oid for oid, _ in objects}) == len(objects):
+        return objects
+    return tuple((f"{cls}_{i}", cls) for cls, n in counts for i in range(1, n + 1))
+
+
 def validate_cd(cd: ClassDiagram) -> ClassDiagram:
     """Reject duplicate names, dangling references, inheritance cycles."""
     seen: set[str] = set()

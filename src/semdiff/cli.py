@@ -37,8 +37,9 @@ from types import SimpleNamespace
 from .ad.diff import addiff, render_inputs
 from .ad.model import ActivityDiagram, validate_ad
 from .cd.diff import cddiff_summary, enumerate_witnesses
-from .cd.model import (ClassDiagram, ObjectModel, check_instance, is_instance,
+from .cd.model import (ClassDiagram, ObjectModel, check_instance,
                        validate_cd, validate_om)
+from .cd.model import is_instance  # noqa: F401  the benchmark tracer wraps it here
 from .errors import InternalError, LimitError
 from .parsing import ParseError, parse_model, print_od
 from .summary import PartitionKey, SummaryReport
@@ -178,7 +179,7 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
 
     report = cddiff_summary(cd1, cd2, args.scope)
     if oracle is not None:
-        status = _cd_oracle_check(cd1, cd2, oracle, args.scope, report)
+        status = _cd_oracle_check(oracle, args.scope, report)
         if status != 0:
             return status
     if not report.entries:
@@ -188,30 +189,36 @@ def cmd_cddiff(args: SimpleNamespace) -> int:
     return EXIT_DIFFS
 
 
-def _cd_oracle_check(cd1: ClassDiagram, cd2: ClassDiagram, oracle, scope: int,
-                     report: SummaryReport) -> int:
+def _cd_oracle_check(oracle, scope: int, report: SummaryReport) -> int:
+    """The class sets are the oracle's, and each representative is one of
+    the oracle's witnesses."""
     engine_keys = [e.key.names for e in report.entries]
     if engine_keys != oracle.keys():
         print(f"oracle mismatch: engine found {engine_keys}, "
               f"oracle found {oracle.keys()}", file=sys.stderr)
         return EXIT_ORACLE
+    want = {_as_sets(om) for om in oracle.witnesses}
     for e in report.entries:
-        om = e.representative
-        if not is_instance(om, cd1) or is_instance(om, cd2):
+        if _as_sets(e.representative) not in want:
             print(f"oracle mismatch: representative for {e.key.names} "
-                  f"is not a witness", file=sys.stderr)
+                  f"is not an oracle witness", file=sys.stderr)
             return EXIT_ORACLE
     print(f"oracle agreement: {len(engine_keys)} class(es) at scope {scope}",
           file=sys.stderr)
     return 0
 
 
+def _as_sets(om: ObjectModel) -> tuple[frozenset, frozenset]:
+    """A model as its set of objects and its set of links, the form in
+    which engine and oracle witnesses are compared."""
+    return frozenset(om.objects), frozenset(om.links)
+
+
 def _cd_oracle_witnesses(oracle, scope: int, witnesses: list[ObjectModel],
                          truncated: bool) -> int:
-    """Each listed witness, taken as (set of objects, set of links), is one
-    of the oracle's; a list that --limit did not cut holds every one."""
-    want, got = ({(frozenset(om.objects), frozenset(om.links)) for om in oms}
-                 for oms in (oracle.witnesses, witnesses))
+    """Each listed witness is one of the oracle's; a list that --limit did
+    not cut holds every one."""
+    want, got = ({_as_sets(om) for om in oms} for oms in (oracle.witnesses, witnesses))
     if not got <= want or not truncated and got != want:
         print(f"oracle mismatch: {len(got - want)} listed witness(es) the oracle "
               f"lacks, {len(want - got)} oracle witness(es) not listed", file=sys.stderr)

@@ -12,7 +12,8 @@ from itertools import product
 
 from .ad.model import (ActivityDiagram, Configuration, initial_configs,
                        observable_steps)
-from .cd.model import ClassDiagram, Link, ObjectModel, classes_of, is_instance
+from .cd.model import (ClassDiagram, Link, ObjectModel, classes_of, is_instance,
+                       name_objects)
 from .errors import LimitError
 from .record import record as dataclass
 
@@ -33,20 +34,18 @@ MAX_ORACLE_SCOPE = 4
 def enumerate_object_models(cd: ClassDiagram, scope: int):
     """Every object model over cd's concrete classes with 1..scope objects.
 
-    Objects are named <class, lowercased><i>; link sets are enumerated as
+    Objects are named by `name_objects`; link sets are enumerated as
     bitmasks over the conforming pairs, ascending.  Isomorphic relabelings
     are not deduplicated.
     """
     classes = cd.concrete_classes()
     for total in range(1, scope + 1):
         for counts in _count_vectors(total, len(classes)):
-            objects = []
-            for cls, n in zip(classes, counts):
-                objects.extend((f"{cls.lower()}{i}", cls) for i in range(1, n + 1))
+            objects = name_objects(zip(classes, counts))
             pairs = _link_pairs(cd, objects)
             for mask in range(1 << len(pairs)):
                 links = tuple(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-                yield ObjectModel("candidate", tuple(objects), links)
+                yield ObjectModel("candidate", objects, links)
 
 
 def _count_vectors(total: int, k: int):

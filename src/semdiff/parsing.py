@@ -1,10 +1,13 @@
 """Textual formats for class diagrams, object models and activity diagrams.
 
-One lexer, three recursive-descent parsers, three printers.  The printers
-are exact inverses on models: parse(print(m)) == m.
+One lexer pattern, three recursive-descent parsers, and three printers that
+share one `head { ... }` frame.  The printers are exact inverses on models:
+parse(print(m)) == m.
 """
 
 from __future__ import annotations
+
+import re
 
 from .ad.model import (ActivityDiagram, Arith, BoolOp, Cmp, Edge, IntLit, Node,
                        Not, Var, VarDecl, ACTION, NODE_KINDS, check_bool_expr,
@@ -26,6 +29,14 @@ _PUNCT = ("<=", ">=", "==", "!=", "&&", "||", ":=", "..", "->", "--",
           "{", "}", ";", ":", "[", "]", "(", ")", "<", ">", "=", "!",
           "+", "-", "*")
 
+# One alternative per token kind, tried in this order; `stray` takes any
+# other character.  A name is a word that starts with a letter or `_`, so a
+# word starting with a digit that is not decimal (`²`) is stray at its start.
+_TOKEN = re.compile("|".join((
+    r"(?P<skip>[ \t\r]+|//[^\n]*)", r"(?P<newline>\n)", r"(?P<int>\d+)",
+    r"(?P<ident>[^\W\d]\w*)", f"(?P<punct>{'|'.join(map(re.escape, _PUNCT))})",
+    r"(?P<stray>.)")))
+
 
 @dataclass(frozen=True)
 class Token:
@@ -37,45 +48,19 @@ class Token:
 
 def tokenize(text: str, source: str | None = None) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError(f"stray character {ch!r}", line, col, source)
-    toks.append(Token("eof", "", line, col))
+    line, first = 1, 0  # first: offset of the line's first character
+    m = None
+    for m in _TOKEN.finditer(text):
+        kind, value, col = m.lastgroup, m[0], m.start() - first + 1
+        if kind == "newline":
+            line, first = line + 1, m.end()
+        elif kind == "stray" or kind == "ident" and not (value[0].isalpha() or value[0] == "_"):
+            raise ParseError(f"stray character {value[0]!r}", line, col, source)
+        elif kind != "skip":
+            toks.append(Token(kind, value, line, col))
+    # a comment ending the text leaves the end at the comment's start
+    end = m.start() if m and m[0].startswith("//") else len(text)
+    toks.append(Token("eof", "", line, end - first + 1))
     return toks
 
 
@@ -139,43 +124,40 @@ class _Parser:
         if self.peek().kind != "eof":
             raise self.error("expected end of input")
 
-    # expressions: || < && < ! < comparison < additive < primary
+    def typed(self, check, expr: object) -> object:
+        """`expr` once `check` (check_int_expr or check_bool_expr) accepts
+        it; a type error is reported at the token after it."""
+        try:
+            check(expr)
+        except ExprTypeError as exc:
+            raise self.error(str(exc)) from exc
+        return expr
+
+    # expressions: || < && < ! < comparison < additive < primary; the &&
+    # level runs in `_chain` directly, which keeps a parenthesis at the
+    # seven frames it took when every level had a method of its own
     def expression(self) -> object:
-        return self._or()
+        return self._chain(("||",), BoolOp, self._chain, ("&&",), BoolOp, self._unary)
 
-    def _or(self) -> object:
-        e = self._and()
-        while self.peek().value == "||":
-            self.next()
-            e = BoolOp("||", e, self._and())
-        return e
-
-    def _and(self) -> object:
-        e = self._unary()
-        while self.peek().value == "&&":
-            self.next()
-            e = BoolOp("&&", e, self._unary())
+    def _chain(self, ops: tuple[str, ...], make, operand, *args) -> object:
+        """`operand(*args)` joined by the operators `ops`, folded to the
+        left with `make(op, left, right)`."""
+        e = operand(*args)
+        while self.peek().value in ops:
+            e = make(self.next().value, e, operand(*args))
         return e
 
     def _unary(self) -> object:
+        """`!` and its operand, or a sum, or one comparison of two sums."""
         if self.accept("!"):
             return Not(self._unary())
-        return self._comparison()
-
-    def _comparison(self) -> object:
         e = self._additive()
-        t = self.peek()
-        if t.kind == "punct" and t.value in ("<", "<=", ">", ">=", "==", "!="):
-            self.next()
-            return Cmp(t.value, e, self._additive())
+        if self.peek().value in ("<", "<=", ">", ">=", "==", "!="):
+            return Cmp(self.next().value, e, self._additive())
         return e
 
     def _additive(self) -> object:
-        e = self._primary()
-        while self.peek().value in ("+", "-") and self.peek().kind == "punct":
-            op = self.next().value
-            e = Arith(op, e, self._primary())
-        return e
+        return self._chain(("+", "-"), Arith, self._primary)
 
     def _primary(self) -> object:
         t = self.peek()
@@ -189,6 +171,12 @@ class _Parser:
         if t.kind == "ident":
             return Var(self.ident())
         raise self.error("expected an expression")
+
+
+def _frame(head: str, statements) -> str:
+    """The printed form of every model: `head {`, one indented
+    `statement;` line each, and `}`."""
+    return "".join([f"{head} {{\n", *(f"  {s};\n" for s in statements), "}\n"])
 
 
 # ------------------------------------------------------------ class diagrams
@@ -241,19 +229,11 @@ def _parse_mult(p: _Parser) -> MultRange:
 
 
 def print_cd(cd: ClassDiagram) -> str:
-    lines = [f"classdiagram {cd.name} {{"]
-    for c in cd.classes:
-        decl = f"  class {c.name}"
-        if c.abstract:
-            decl += " abstract"
-        if c.parent is not None:
-            decl += f" extends {c.parent}"
-        lines.append(decl + ";")
-    for a in cd.associations:
-        lines.append(f"  association {a.name} [{a.mult_a}] {a.class_a}"
-                     f" -- {a.class_b} [{a.mult_b}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _frame(f"classdiagram {cd.name}", [
+        *(f"class {c.name}" + " abstract" * c.abstract
+          + ("" if c.parent is None else f" extends {c.parent}") for c in cd.classes),
+        *(f"association {a.name} [{a.mult_a}] {a.class_a} -- {a.class_b} [{a.mult_b}]"
+          for a in cd.associations)])
 
 
 # ------------------------------------------------------------- object models
@@ -285,13 +265,9 @@ def _od(p: _Parser) -> ObjectModel:
 
 
 def print_od(om: ObjectModel) -> str:
-    lines = [f"objectdiagram {om.name} {{"]
-    for oid, cls in om.objects:
-        lines.append(f"  {oid} : {cls};")
-    for ln in om.links:
-        lines.append(f"  link {ln.association} {ln.obj_a} -- {ln.obj_b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _frame(f"objectdiagram {om.name}", [
+        *(f"{oid} : {cls}" for oid, cls in om.objects),
+        *(f"link {ln.association} {ln.obj_a} -- {ln.obj_b}" for ln in om.links)])
 
 
 # --------------------------------------------------------- activity diagrams
@@ -315,13 +291,8 @@ def _ad(p: _Parser) -> ActivityDiagram:
             while not p.accept("}"):
                 var = p.ident("variable name")
                 p.expect(":=")
-                expr = p.expression()
-                try:
-                    check_int_expr(expr)
-                except ExprTypeError as exc:
-                    raise p.error(str(exc)) from exc
+                effects.append((var, p.typed(check_int_expr, p.expression())))
                 p.expect(";")
-                effects.append((var, expr))
         p.expect(";")
         action_name = nid if kind == ACTION else None
         nodes.append(Node(nid, kind, action_name, tuple(effects)))
@@ -333,11 +304,7 @@ def _ad(p: _Parser) -> ActivityDiagram:
         dst = p.ident("node name")
         guard = None
         if p.accept("["):
-            guard = p.expression()
-            try:
-                check_bool_expr(guard)
-            except ExprTypeError as exc:
-                raise p.error(str(exc)) from exc
+            guard = p.typed(check_bool_expr, p.expression())
             p.expect("]")
         p.expect(";")
         edges.append(Edge(f"e{len(edges) + 1}", src, dst, guard))
@@ -364,29 +331,23 @@ def _var_decls(p: _Parser, keyword: str) -> tuple[VarDecl, ...]:
     return tuple(decls)
 
 
+def _node_decl(n: Node) -> str:
+    if n.kind == ACTION and n.action_name not in (None, n.id):
+        raise ValueError(
+            f"{n.id}: the textual format cannot express an action name "
+            f"({n.action_name}) different from the node id")
+    if not n.effects:
+        return f"{n.kind} {n.id}"
+    return f"{n.kind} {n.id} {{ {' '.join(f'{var} := {expr};' for var, expr in n.effects)} }}"
+
+
 def print_ad(ad: ActivityDiagram) -> str:
-    lines = [f"activitydiagram {ad.name} {{"]
-    for v in ad.inputs:
-        lines.append(f"  input {v.name} : {v.lo}..{v.hi};")
-    for v in ad.locals:
-        lines.append(f"  local {v.name} : {v.lo}..{v.hi} = {v.init};")
-    for n in ad.nodes:
-        if n.kind == ACTION and n.action_name not in (None, n.id):
-            raise ValueError(
-                f"{n.id}: the textual format cannot express an action name "
-                f"({n.action_name}) different from the node id")
-        decl = f"  {n.kind} {n.id}"
-        if n.effects:
-            body = " ".join(f"{var} := {expr};" for var, expr in n.effects)
-            decl += f" {{ {body} }}"
-        lines.append(decl + ";")
-    for e in ad.edges:
-        decl = f"  edge {e.source} -> {e.target}"
-        if e.guard is not None:
-            decl += f" [{e.guard}]"
-        lines.append(decl + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _frame(f"activitydiagram {ad.name}", [
+        *(f"input {v.name} : {v.lo}..{v.hi}" for v in ad.inputs),
+        *(f"local {v.name} : {v.lo}..{v.hi} = {v.init}" for v in ad.locals),
+        *map(_node_decl, ad.nodes),
+        *(f"edge {e.source} -> {e.target}" + ("" if e.guard is None else f" [{e.guard}]")
+          for e in ad.edges)])
 
 
 # ----------------------------------------------------------------- dispatch

@@ -7,6 +7,7 @@ function; this module only knows about keys, ordering and the fold.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 from .record import field, record as dataclass
@@ -34,12 +35,11 @@ class PartitionKey:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise PartitionKeyError(f"unknown partition kind: {self.kind!r}")
-        if self.kind in ("class-set", "action-set"):
-            canon = tuple(sorted(set(self.names)))
-            if self.names != canon:
-                raise PartitionKeyError(
-                    f"{self.kind} key must be sorted and duplicate-free: {self.names!r}"
-                )
+        # sorted and duplicate-free is strictly increasing
+        if self.kind in ("class-set", "action-set") and \
+                not all(map(lt, self.names, self.names[1:])):
+            raise PartitionKeyError(
+                f"{self.kind} key must be sorted and duplicate-free: {self.names!r}")
         for n in self.names:
             if "," in n or not n:
                 raise PartitionKeyError(f"bad name in partition key: {n!r}")

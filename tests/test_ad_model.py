@@ -6,8 +6,9 @@ from semdiff.ad import (build_explicit_ts, initial_configs, observable_steps,
                         silent_closure, validate_ad)
 from semdiff.ad.encode import encode_product
 from semdiff.ad.model import (ActivityDiagram, AdValidationError, BadDegreeError, Cmp,
-                              Configuration, Edge, InputAssignmentError, IntLit,
-                              MisplacedGuardError, Node, RangeViolationError,
+                              Configuration, Edge, EmptyRangeError, InputAssignmentError,
+                              IntLit, MisplacedGuardError, MissingGuardError, Node,
+                              RangeViolationError,
                               SilentCycleError, UndeclaredVariableError, Var, VarDecl,
                               _apply_effects)
 from semdiff.parsing import parse_ad
@@ -48,6 +49,42 @@ def test_unvalidated_diagram_without_a_start_edge_raises_a_validation_error(node
     ad = ActivityDiagram("loop", (), (), nodes, (Edge("e1", "a", "a"),))
     with pytest.raises(AdValidationError, match="^loop: "):
         encode_product(ad, ad)
+
+
+def _line(decls: str = "", nodes: str = "action a;", edges: str = "edge a -> f;") -> str:
+    return (f"activitydiagram t {{ {decls} initial i; {nodes} final f; "
+            f"edge i -> a; {edges} }}")
+
+
+def _api(nodes=(), edges=()) -> ActivityDiagram:
+    """i -> a -> f through the Python API, plus the given nodes and edges."""
+    return ActivityDiagram(
+        "t", (), (VarDecl("y", 0, 3, 0),),
+        (Node("i", "initial"), Node("a", "action", "a"), Node("f", "final"), *nodes),
+        (Edge("e1", "i", "a"), Edge("e2", "a", "f"), *edges))
+
+
+@pytest.mark.parametrize("model,error,message", [
+    (_line("input x : 0..3; local x : 0..1 = 0;"), AdValidationError,
+     "variable declared twice: x"),
+    (_line("input x : 3..1;"), EmptyRangeError, "x: empty range 3..1"),
+    (_line("local y : 0..3 = 5;"), EmptyRangeError, "y: initial value 5 outside 0..3"),
+    (_line(nodes="action a; action a;"), AdValidationError, "node declared twice: a"),
+    (_api(nodes=(Node("q", "loop"),)), AdValidationError, "q: unknown node kind loop"),
+    (_api(nodes=(Node("m", "merge", None, (("y", IntLit(1)),)),)), AdValidationError,
+     "m: only action nodes carry effects"),
+    (_api(edges=(Edge("e2", "a", "f"),)), AdValidationError, "edge declared twice: e2"),
+    (_line(nodes="action a; final g;"), BadDegreeError, "g (final): 0 incoming edge(s)"),
+    (_line("input x : 0..3;", "decision a; final g;", "edge a -> f [x < 1]; edge a -> g;"),
+     MissingGuardError, "edge a -> g needs a guard"),
+    (_line(nodes="action a { z := 1; };"), UndeclaredVariableError, "a assigns undeclared z"),
+    (_line("local y : 0..3 = 0;", "action a { y := z + 1; };"), UndeclaredVariableError,
+     "a: effect uses undeclared z"),
+])
+def test_each_structural_fault_has_its_own_rejection(model, error, message):
+    with pytest.raises(error) as exc:
+        validate_ad(parse_ad(model) if isinstance(model, str) else model)
+    assert str(exc.value) == message
 
 
 def test_decision_needs_at_least_two_out_edges():

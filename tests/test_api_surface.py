@@ -40,6 +40,7 @@ PINNED_MEMBERS = {
     "BddManager.count_sat": BDD_SUITE,
     "BddManager.eval_node": BDD_SUITE,
     "BddManager.false_set": BDD_SUITE,
+    "BddManager.forall": BDD_SUITE,
     "BddManager.nvar": BDD_SUITE,
     "BddManager.pick_assignment": BDD_SUITE,
     "BddManager.true_set": BDD_SUITE,

@@ -5,12 +5,13 @@ import json
 import pytest
 
 from semdiff.cd import (cddiff_summary, check_instance, classes_of, enumerate_witnesses,
-                        find_witness, is_instance, validate_cd)
+                        find_witness, is_instance, validate_cd, validate_om)
 from semdiff.cd import diff
 from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _choose_links,
                              _count_vectors, _hosts, _universe_witness)
 from semdiff.oracle import cd_enumerate_all
-from semdiff.parsing import parse_cd
+from semdiff.cli import _as_sets, main
+from semdiff.parsing import parse_cd, parse_od, print_od
 
 
 def test_scope_must_be_positive(cd_v1):
@@ -58,6 +59,59 @@ def test_witnesses_get_canonical_object_names(cd_v1, cd_v2):
     om = find_witness(cd_v1, cd_v2, 6)
     for oid, cls in om.objects:
         assert oid.startswith(cls.lower())
+
+
+CASES_V1 = """classdiagram cases_v1 {
+  class A;
+  class a;
+  association r [0..1] A -- a [0..1];
+}
+"""
+CASES_V2 = CASES_V1.replace("cases_v1", "cases_v2").replace("a [0..1];", "a [1];")
+
+
+def test_classes_differing_in_case_get_witnesses_that_declare_each_object_once(
+        tmp_path, capsys):
+    cd1, cd2 = parse_cd(CASES_V1), parse_cd(CASES_V2)
+    summary = [e.representative for e in cddiff_summary(cd1, cd2, 3).entries]
+    listed = list(enumerate_witnesses(cd1, cd2, 3))
+    assert ("A", "a") in {classes_of(om) for om in summary}
+    for om in summary + listed:
+        assert validate_om(parse_od(print_od(om))) == om
+        assert check_instance(om, cd1).ok and not is_instance(om, cd2)
+    oracle = cd_enumerate_all(cd1, cd2, 3)
+    assert {_as_sets(om) for om in listed} == {_as_sets(om) for om in oracle.witnesses}
+    paths = []
+    for name, text in (("cases_v1.cd", CASES_V1), ("cases_v2.cd", CASES_V2)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text, encoding="utf-8")
+    for flags in ((), ("--no-summary",)):
+        assert main(["cddiff", *map(str, paths), "--scope", "3", "--oracle", *flags]) == 0
+        assert capsys.readouterr().err.startswith("oracle agreement: ")
+
+
+def test_a_lowered_upper_bound_is_witnessed_through_a_pinned_count(monkeypatch):
+    # the canonical instance has no links and conforms to cd2, and cd2
+    # rejects no link, so only pinning a1 to two partners finds the witness
+    cd1 = parse_cd("classdiagram p1 { class A; class B; association r [0..1] A -- B [0..2]; }")
+    cd2 = parse_cd("classdiagram p2 { class A; class B; association r [0..1] A -- B [0..1]; }")
+    pins = []
+
+    def recording(*args, pin=None, **kwargs):
+        links = _assoc_links(*args, pin=pin, **kwargs)
+        if pin is not None and links is not None:
+            pins.append(pin)
+        return links
+
+    monkeypatch.setattr(diff, "_assoc_links", recording)
+    (entry,) = cddiff_summary(cd1, cd2, 4).entries
+    om = entry.representative
+    assert entry.key.names == ("A", "B") and pins == [("a", "a1", 2)]
+    assert om.objects == (("a1", "A"), ("b1", "B"), ("b2", "B"))
+    assert sorted((ln.obj_a, ln.obj_b) for ln in om.links) == [("a1", "b1"), ("a1", "b2")]
+    oracle = cd_enumerate_all(cd1, cd2, 4)
+    assert oracle.keys() == [("A", "B")]
+    assert _as_sets(om) in {_as_sets(w) for w in oracle.witnesses}
 
 
 # ------------------------------------------------------------- summaries

@@ -50,6 +50,12 @@ def test_duplicate_class_rejected():
         _cd(classes=[ClassDecl("A", False, None), ClassDecl("A", False, None)])
 
 
+def test_duplicate_association_rejected():
+    r = Association("r", "A", MultRange(0, 1), "A", MultRange(0, 1))
+    with pytest.raises(DuplicateNameError, match="^association declared twice: r$"):
+        _cd(classes=[ClassDecl("A")], associations=[r, r])
+
+
 def test_dangling_parent_rejected():
     with pytest.raises(DanglingReferenceError, match="unknown class"):
         _cd(classes=[ClassDecl("A", False, "Ghost")])
@@ -73,6 +79,25 @@ def test_validate_om_rejects_duplicate_ids_and_dangling_links():
         validate_om(parse_od("objectdiagram o { a : A; link m a -- ghost; }"))
     with pytest.raises(OdValidationError):
         validate_om(parse_od("objectdiagram o { a : A; link m a -- a; link m a -- a; }"))
+
+
+# ------------------------------------------------------------ object names
+
+def test_objects_are_named_after_their_lowercased_class():
+    assert model.name_objects([("Employee", 2), ("Task", 0), ("Manager", 1)]) == (
+        ("employee1", "Employee"), ("employee2", "Employee"), ("manager1", "Manager"))
+
+
+@pytest.mark.parametrize("counts", [
+    [("A", 1), ("a", 1)],  # one lowercased name
+    [("A", 11), ("A1", 1)],  # the eleventh A and the first A1 are both a11
+])
+def test_colliding_object_ids_fall_back_to_the_class_name(counts):
+    objects = model.name_objects(counts)
+    assert len({oid for oid, _ in objects}) == len(objects) == sum(n for _, n in counts)
+    assert all(oid.startswith(cls + "_") for oid, cls in objects)
+    # the ids depend on the counts, not on their order
+    assert set(model.name_objects(counts[::-1])) == set(objects)
 
 
 # ------------------------------------------------------------ conformance

@@ -6,6 +6,9 @@ abstract classes, mixed multiplicities) and a mutated copy of it, through
 The mutation changes multiplicities, or from RETARGET_FROM on moves one
 end of each kept association to another class and keeps its
 multiplicities, so that only link endpoints tell those pairs apart.
+From RAISE_FROM on it only raises one finite upper bound by one, so one
+direction's witnesses need an object with more partners than the other
+diagram allows: the search finds them by pinning a partner count.
 The checks compare the bounded search with the exhaustive enumeration of
 `semdiff.oracle`, and conformance, the member table and the partner
 prune with references written here, the last on deeper hierarchies.
@@ -24,13 +27,15 @@ import pytest
 from semdiff.cd import (Association, ClassDecl, ClassDiagram, MultRange,
                         cddiff_summary, check_instance, classes_of, conforms,
                         enumerate_witnesses, is_instance, validate_cd)
-from semdiff.cd.diff import _candidate_class_sets, _covered, _may_instantiate
+from semdiff.cd.diff import (_assoc_links, _candidate_class_sets, _covered,
+                             _may_instantiate)
 from semdiff.cd.model import UNBOUNDED
 from semdiff.oracle import cd_enumerate_all, enumerate_object_models
 
 SCOPE = 3
-SEEDS = range(24)
+SEEDS = range(30)
 RETARGET_FROM = 12
+RAISE_FROM = 24
 ORACLE_BUDGET = 20_000
 NAMES = ("A", "B", "C", "D")
 MULTS = (MultRange(0, 1), MultRange(1, 1), MultRange(0, UNBOUNDED),
@@ -78,6 +83,21 @@ def _mutated(rng: random.Random, cd: ClassDiagram, retarget: bool) -> ClassDiagr
     return validate_cd(ClassDiagram(cd.name + "_mutated", tuple(classes), tuple(assocs)))
 
 
+def _raised(rng: random.Random, cd: ClassDiagram) -> ClassDiagram | None:
+    """cd with one finite upper bound raised by one, or None when it has none."""
+    ends = [(i, side) for i, a in enumerate(cd.associations)
+            for side in ("mult_a", "mult_b") if getattr(a, side).hi != UNBOUNDED]
+    if not ends:
+        return None
+    i, side = rng.choice(ends)
+    a = cd.associations[i]
+    old = getattr(a, side)
+    mults = {"mult_a": a.mult_a, "mult_b": a.mult_b, side: MultRange(old.lo, old.hi + 1)}
+    raised = Association(a.name, a.class_a, mults["mult_a"], a.class_b, mults["mult_b"])
+    assocs = cd.associations[:i] + (raised,) + cd.associations[i + 1:]
+    return validate_cd(ClassDiagram(cd.name + "_raised", cd.classes, assocs))
+
+
 def _oracle_work(cd: ClassDiagram, scope: int) -> int:
     """Models the oracle enumerates: 2^pairs summed over its universes."""
     concrete = cd.concrete_classes()
@@ -113,7 +133,12 @@ def random_pair(seed: int) -> tuple[ClassDiagram, ClassDiagram]:
                         rng.choice(names), rng.choice(MULTS))
             for i in range(rng.randint(1, 2)))
         cd1 = validate_cd(ClassDiagram(f"rand{seed}", tuple(_classes(rng, names)), assocs))
-        cd2 = _mutated(rng, cd1, retarget=seed >= RETARGET_FROM)
+        if seed >= RAISE_FROM:
+            cd2 = _raised(rng, cd1)
+            if cd2 is None:
+                continue
+        else:
+            cd2 = _mutated(rng, cd1, retarget=seed >= RETARGET_FROM)
         if max(_oracle_work(cd1, SCOPE), _oracle_work(cd2, SCOPE)) <= ORACLE_BUDGET:
             return cd1, cd2
 
@@ -161,6 +186,24 @@ def test_pruned_class_sets_have_no_instance(seed):
 
 def test_prune_fires_on_some_seed():
     assert any(_pruned_sets(cd) for seed in SEEDS for cd in random_pair(seed))
+
+
+def test_a_pinned_partner_count_finds_a_witness_on_some_seed(monkeypatch):
+    # `_universe_witness` pins one object's partner count only once the
+    # canonical instance conforms to cd2 and no link cd2 rejects can be forced
+    found = []
+
+    def recording(*args, pin=None, **kwargs):
+        links = _assoc_links(*args, pin=pin, **kwargs)
+        if pin is not None and links is not None:
+            found.append(pin)
+        return links
+
+    monkeypatch.setattr("semdiff.cd.diff._assoc_links", recording)
+    for seed in range(RAISE_FROM, SEEDS.stop):
+        for cd1, cd2 in (random_pair(seed), random_pair(seed)[::-1]):
+            cddiff_summary(cd1, cd2, SCOPE)
+    assert found
 
 
 def _walk_conforms(cd: ClassDiagram, sub: str, sup: str) -> bool:

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FIXTURES, fixture_text
 from semdiff.ad.diff import ReplayMismatchError
-from semdiff import cli
+from semdiff import cli, oracle
 from semdiff.cd.model import InstanceVerdict, ObjectModel
 from semdiff.cli import COMMANDS, main
 from semdiff.oracle import StateBudgetExceededError
+from semdiff.summary import SummaryEntry
 
 CD1 = str(FIXTURES / "cd_v1.cd")
 CD2 = str(FIXTURES / "cd_v2.cd")
@@ -119,6 +122,26 @@ def test_cddiff_oracle_mismatch_exits_3(capsys, monkeypatch):
     assert "oracle mismatch" in err
 
 
+def test_cddiff_oracle_mismatch_on_a_representative_exits_3(capsys, monkeypatch):
+    real = cli.cddiff_summary
+
+    def renamed(cd1, cd2, scope):
+        # the right class set, but objects no oracle witness has
+        report = real(cd1, cd2, scope)
+        first = report.entries[0]
+        om = first.representative
+        stray = ObjectModel(om.name, tuple((f"x{i}", cls) for i, (_, cls) in
+                                           enumerate(om.objects)), ())
+        report.entries[0] = SummaryEntry(first.key, stray, first.annotation)
+        return report
+
+    monkeypatch.setattr(cli, "cddiff_summary", renamed)
+    code, out, err = run(capsys, "cddiff", CD2, CD1, "--scope", "3", "--oracle")
+    assert (code, out) == (3, "")
+    assert err == ("oracle mismatch: representative for ('Employee', 'Manager') "
+                   "is not an oracle witness\n")
+
+
 def test_cddiff_rejects_nonpositive_scope(capsys):
     code, _, err = run(capsys, "cddiff", CD1, CD2, "--scope", "0")
     assert code == 2
@@ -176,6 +199,27 @@ def test_addiff_oracle_agreement(capsys):
     code, _, err = run(capsys, "addiff", AD2, AD1, "--oracle")
     assert code == 0
     assert "oracle agreement: 3/3 class(es)" in err
+
+
+@pytest.mark.parametrize("doctor,message", [
+    (lambda o: {"ql": {**o.ql, ("ghost",): ()}}, "oracle mismatch: action lists "),
+    (lambda o: {"projections": lambda actions: {"tickets": (-1,)}},
+     "oracle mismatch on ["),
+    (lambda o: {"qs": lambda: {}}, "oracle mismatch: action sets "),
+])
+def test_addiff_oracle_mismatch_exits_3(capsys, monkeypatch, doctor, message):
+    real = oracle.ad_diff_bfs
+
+    def doctored(ad1, ad2):
+        found = real(ad1, ad2)
+        return SimpleNamespace(**{"ql": found.ql, "projections": found.projections,
+                                  "qs": found.qs, **doctor(found)})
+
+    monkeypatch.setattr(oracle, "ad_diff_bfs", doctored)
+    code, out, err = run(capsys, "addiff", AD2, AD1, "--oracle")
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert line.startswith(message)
 
 
 def test_addiff_oracle_skips_simulation_directions(capsys, tmp_path):
@@ -415,6 +459,17 @@ def test_readme_shows_the_synopsis_help_prints(capsys):
     usages = [ln for ln in run(capsys, "--help")[1].splitlines() if ln.startswith("usage: ")]
     readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8").splitlines()
     assert usages and all(ln in readme for ln in usages)
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    # the README's only `python` block, run from the repository root
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    monkeypatch.chdir(FIXTURES.parent)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "('Employee', 'Manager') 2 object(s)"
+    assert out[-1].startswith("trace ")
 
 
 # -- limits and internal errors ---------------------------------------------------

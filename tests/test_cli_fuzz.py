@@ -12,7 +12,9 @@ Token mutations keep the text UTF-8 and its expressions shallow, so a
 second family mutates below and above the token: a byte that is never
 valid UTF-8 at a random offset, or one activity-diagram expression (a
 guard, or an effect put on an action) nested N deep, with N parentheses,
-N `!`s or one term repeated N times.
+N `!`s or one term repeated N times.  A third family inserts one
+character at a random offset: a digit that is not decimal (`²`, `⑨`), a
+letter, or a symbol, so the lexer meets every kind of character.
 """
 
 from __future__ import annotations
@@ -135,3 +137,37 @@ def test_bytes_and_depth_end_in_a_documented_status(seed, tmp_path, capsys):
         assert status in range(6), (command, pair, flags, data)
         if status in (2, 4, 5):
             assert err.startswith("error: ") and "Traceback" not in err, (flags, data)
+
+
+# isdigit() but not isdecimal(): superscripts, subscripts, circled, Ethiopic
+NOT_DECIMAL = "\u00b2\u00b3\u00b9\u2070\u2082\u2460\u2468\u24ff\u2777\u2791\u1369\u1371\u19da"
+LETTERS = "aZ_\u00e9\u00df\u03a9\u0436\u05d0\u4e2d"
+SYMBOLS = "$%&'/?@\\^`|~\u00a7\u00b0\u00b7\u00f7\u2026\u20ac\u00a0\x0b"
+
+
+def char_cases(seed: int):
+    rng = random.Random(f"char:{seed}")
+    for _ in range(CASES_PER_SEED):
+        name = rng.choice(sorted(FAMILIES))
+        command, partners, flags = FAMILIES[name]
+        text = fixture_text(name)
+        at = rng.randrange(len(text) + 1)
+        ch = rng.choice(rng.choice((NOT_DECIMAL, LETTERS, SYMBOLS)))
+        yield (command, text[:at] + ch + text[at:], str(FIXTURES / rng.choice(partners)),
+               rng.random() < 0.5, flags)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_inserted_character_ends_in_a_documented_status(seed, tmp_path, capsys):
+    mutant = tmp_path / "mutant"
+    for command, text, partner, swap, flags in char_cases(seed):
+        mutant.write_text(text, encoding="utf-8")
+        pair = [str(mutant), partner]
+        if swap and command != "check":
+            pair.reverse()
+        status = main([command, *pair, *flags])
+        err = capsys.readouterr().err
+        assert status in range(6), (command, pair, flags, text)
+        if status in (2, 4, 5):
+            (line,) = err.splitlines()
+            assert line.startswith("error: "), (flags, text)

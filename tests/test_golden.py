@@ -4,7 +4,8 @@ Each case runs `semdiff.cli.main` in process, exactly as
 `python -m semdiff.cli ARGS...` would, and compares its stdout byte for
 byte with tests/golden/<case>.out and its exit status with
 tests/golden/status.json.  Generated pairs, too large to store whole
-(forks of width 3-5 against a copy with moved edges, a counter loop
+(forks of width 3-5 against a copy with moved edges, one of them also
+with every symbolic trace as a JSON line, a counter loop
 over 0..40, the ticket pipeline over 0..767, a 10-class chain against
 its flipped copy with and without the summary, both directions each),
 are pinned by the sha256 of their stdout and their exit status in
@@ -168,6 +169,9 @@ def _generated_pairs() -> dict[str, tuple[str, str, str, tuple[str, ...]]]:
     # representative the action-set summary keeps
     pairs["fork4-both"] = ("addiff", fork_text("fork4_v1", 4, "ship"),
                            fork_text("fork4_v2", 4, "archive", moves=3), ("--both",))
+    pairs["fork4-no-summary-json-lines"] = (
+        "addiff", fork_text("fork4_v1", 4, "ship"), fork_text("fork4_v2", 4, "archive", moves=3),
+        ("--no-summary", "--format", "json-lines"))
     pairs["counter40"] = ("addiff", counter_text("count_v1", 40, "stop"),
                           counter_text("count_v2", 40, "halt"), ())
     pairs["tickets767"] = ("addiff", pipeline_text("tickets_v1", 767, 300, False),

@@ -96,6 +96,41 @@ def test_guard_must_be_boolean():
         parse_ad(src)
 
 
+def test_effects_on_a_node_that_is_not_an_action_are_rejected():
+    with pytest.raises(ParseError, match=r"^1:49: only action nodes carry effects, found '\{'"):
+        parse_ad("activitydiagram t { local y : 0..3 = 0; merge m { y := 1; }; }")
+
+
+def test_an_effect_must_be_an_integer_expression():
+    with pytest.raises(ParseError, match=r"^1:62: not an integer expression: y < 1, found ';'$"):
+        parse_ad("activitydiagram t { local y : 0..3 = 0; action a { y := y < 1; }; }")
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2468", "\u1369", "\u2082"])
+def test_a_digit_that_is_not_decimal_is_a_stray_character(digit):
+    # superscript two, circled nine, Ethiopic one, subscript two
+    for text, col in ((f"classdiagram t {{ class A; association r [{digit}] A -- A [1]; }}", 42),
+                      (f"classdiagram t {{ class A; association r [1{digit}] A -- A [1]; }}", 43),
+                      (f"activitydiagram t {{ input x : 0..{digit}; }}", 34),
+                      (f"classdiagram t {{ class {digit}A; }}", 24)):
+        with pytest.raises(ParseError, match=f"^1:{col}: stray character '{digit}'$"):
+            parse_model(text)
+
+
+def test_a_name_may_continue_with_any_digit():
+    cd = parse_cd("classdiagram t { class A\u00b2; class _b\u0663; }")
+    assert [c.name for c in cd.classes] == ["A\u00b2", "_b\u0663"]
+    cd = parse_cd("classdiagram t { class A; association r [\u0663] A -- A [1]; }")
+    assert cd.association("r").mult_a.lo == 3  # Arabic-Indic three is decimal
+
+
+def test_end_of_input_after_a_closing_comment_is_where_the_comment_starts():
+    with pytest.raises(ParseError, match=r"^2:3: expected '\}', found 'end of input'$"):
+        parse_cd("classdiagram t {\n  // no closing brace")
+    with pytest.raises(ParseError, match=r"^2:1: expected '\}', found 'end of input'$"):
+        parse_cd("classdiagram t {\n")
+
+
 # ------------------------------------------------------------- grammar bits
 
 def test_cd_class_modifiers():

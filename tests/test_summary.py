@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from semdiff.summary import PartitionKey, PartitionKeyError, summarize
@@ -24,6 +26,22 @@ class TestPartitionKey:
             PartitionKey("class-set", ("B", "A"))
         with pytest.raises(PartitionKeyError):
             PartitionKey("action-set", ("a", "a"))
+
+    @pytest.mark.parametrize("kind", ["class-set", "action-set"])
+    def test_a_set_key_is_accepted_exactly_when_sorted_and_duplicate_free(self, kind):
+        rng = random.Random(kind)
+        verdicts = set()
+        for _ in range(500):
+            names = tuple(rng.choice("abcAB") * rng.randint(1, 2) for _ in range(rng.randint(0, 4)))
+            canonical = names == tuple(sorted(set(names)))
+            try:
+                PartitionKey(kind, names)
+                accepted = True
+            except PartitionKeyError:
+                accepted = False
+            assert accepted == canonical, names
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PartitionKeyError, match="unknown partition kind"):
