@@ -17,13 +17,22 @@ computed-table entries are dropped when the stage ends.
 The pair game computes a simulation-style difference.  It coincides
 with trace difference when the right diagram declares no input the
 left one lacks and is observably deterministic, under the actions both
-diagrams take, at every state a joint run reaches (see trace_exact);
-results are labelled accordingly.  That determinism is checked once per
-run, and it also decides how the layers grow: with one right reply per
-enabled shared action, "every reply" equals "the one reply", the game
-is a plain joint pre-image (trace inclusion into a deterministic
-system is forward simulation; Lynch and Vaandrager, 1995), and each
-round images only the newest frontier (see backward_fixpoint).
+diagrams take, at every state a joint run reaches; results are labelled
+accordingly.  With every right input shared, the pairing fixes the right
+start state, and each right state along the matched prefix of a left
+trace is the right half of a jointly reachable pair; a right run
+matching that prefix takes only left actions, so with one successor
+under each, the right diagram has one run along the prefix at most, and
+simulation is trace inclusion.  An input only the right side declares is
+a choice the pairing leaves open, so it keeps the answer at simulation.
+
+That determinism is checked once per run, and it also decides how the
+layers grow: with one right reply per enabled shared action, "every
+reply" equals "the one reply", the game is a plain joint pre-image
+(trace inclusion into a deterministic system is forward simulation;
+Lynch and Vaandrager, 1995), and each round images only the newest
+frontier (see backward_fixpoint).  Every stage reads the move table and
+the level maps encode_product builds once.
 """
 
 from __future__ import annotations
@@ -94,23 +103,6 @@ class DiffTrace:
     constraint: str
 
 
-def non_correspondence(enc: ProductEncoding, reach: int) -> int:
-    """Pairs of reach, the jointly reachable pairs, where the left diagram
-    has an enabled action the right one does not.  reach holds in-range
-    input valuations only, and the game reads nothing outside it."""
-    m = enc.manager
-    d0 = FALSE
-    for a, en1 in enc.left.en_by_action.items():
-        d0 = m.bor(d0, m.bdiff(m.band(reach, en1), enc.right.en_by_action.get(a, FALSE)))
-    return d0
-
-
-def _shared_moves(enc: ProductEncoding) -> list[tuple[str, int, int]]:
-    """(action, left relation, right relation) per shared action, sorted."""
-    return [(a, t1, enc.right.t_by_action[a])
-            for a, t1 in enc.left.t_by_action.items() if a in enc.right.t_by_action]
-
-
 def reachable_pairs(enc: ProductEncoding) -> int:
     """Pairs some joint run reaches from the paired initial states
     (shared inputs equal), moving both diagrams on one action a step.
@@ -119,25 +111,26 @@ def reachable_pairs(enc: ProductEncoding) -> int:
     conjunction is never built.  Each round takes the image of the newly
     reached pairs only; inputs are never quantified, so they ride along."""
     m = enc.manager
-    cur1, cur2 = enc.left.cur_state_levels(), enc.right.cur_state_levels()
-    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
-    moves = _shared_moves(enc)
+    cur1, cur2 = enc.left.cur_bits, enc.right.cur_bits
     reach = frontier = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
     while frontier != FALSE:
         img = FALSE
-        for _, t1, t2 in moves:
+        for _, t1, t2 in enc.moves:
             img = m.bor(img, m.and_exists(m.and_exists(frontier, t1, cur1), t2, cur2))
-        frontier = m.bdiff(m.rename(img, ren), reach)
+        frontier = m.bdiff(m.rename(img, enc.to_cur), reach)
         reach = m.bor(reach, frontier)
     return reach
 
 
-def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
+def backward_fixpoint(enc: ProductEncoding, reach: int,
                       deterministic: bool) -> DiffLayers:
-    """Least fixpoint of the one-step forcing operator over d0, played on
-    reach, the pairs reachable_pairs returns.
+    """Least fixpoint of the one-step forcing operator, played on reach,
+    the pairs reachable_pairs returns.
 
-    A pair joins layer k+1 when for some action the left diagram has a
+    The base layer holds the pairs of reach where the left diagram has an
+    enabled action the right one does not; reach holds in-range input
+    valuations only, and the game reads nothing outside it.  A pair
+    joins layer k+1 when for some action the left diagram has a
     successor, the action is enabled on the right, and every right
     successor lands the pair in layer k, that is ¬∃nxt2.(T2 ∧ ¬D'), one
     and_exists pass.  Inputs have no next-state copy, so they pass
@@ -158,21 +151,21 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
     reachable right state branches.
     """
     m = enc.manager
-    ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
-    nxt1, nxt2 = enc.left.next_levels(), enc.right.next_levels()
-    moves = _shared_moves(enc)
-    d = frontier = m.band(d0, reach)
-    layers = [d]
+    nxt1, nxt2 = enc.left.next_bits, enc.right.next_bits
+    d = FALSE
+    for a, en1 in enc.left.en_by_action.items():
+        d = m.bor(d, m.bdiff(m.band(reach, en1), enc.right.en_by_action.get(a, FALSE)))
+    frontier, layers = d, [d]
     while True:
         step = FALSE
         if deterministic:
-            moved = m.rename(frontier, ren)
-            for _, t1, t2 in moves:
+            moved = m.rename(frontier, enc.to_next)
+            for _, t1, t2 in enc.moves:
                 step = m.bor(step, m.and_exists(t1, m.and_exists(t2, moved, nxt2), nxt1))
         else:
             # negated before the rename, so the bdiff below reuses ¬d
-            outside = m.rename(m.bnot(d), ren)
-            for a, t1, t2 in moves:
+            outside = m.rename(m.bnot(d), enc.to_next)
+            for a, t1, t2 in enc.moves:
                 replies = m.bnot(m.and_exists(t2, outside, nxt2))
                 step = m.bor(step, m.and_exists(
                     t1, m.band(enc.right.en_by_action[a], replies), nxt1))
@@ -181,13 +174,6 @@ def backward_fixpoint(enc: ProductEncoding, d0: int, reach: int,
             return DiffLayers(m, tuple(layers))
         d = m.bor(d, frontier)
         layers.append(d)
-
-
-def initial_diff_states(enc: ProductEncoding, layers: DiffLayers) -> int:
-    """Paired initial states (shared inputs equal) inside the fixpoint."""
-    m = enc.manager
-    return m.band(m.band(enc.left.init, enc.right.init),
-                  m.band(enc.input_match, layers.fixpoint()))
 
 
 def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrace]:
@@ -226,17 +212,17 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
             return [(a, project(leaf)) for a, en1, en2 in diverge
                     if (leaf := m.bdiff(m.band(pairs, en1), en2)) != FALSE]
         below = layers.layers[d - 1]
-        return [(a, img) for a, t1, t2 in moves
+        return [(a, img) for a, t1, t2 in enc.moves
                 if (img := m.band(m.rename(m.and_exists(m.and_exists(pairs, t1, cur1),
-                                                        t2, cur2), ren), below)) != FALSE]
+                                                        t2, cur2), enc.to_cur), below)) != FALSE]
 
-    cur1, cur2 = enc.left.cur_state_levels(), enc.right.cur_state_levels()
-    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    cur1, cur2 = enc.left.cur_bits, enc.right.cur_bits
     diverge = [(a, en1, enc.right.en_by_action.get(a, FALSE))
                for a, en1 in enc.left.en_by_action.items()]
-    moves = _shared_moves(enc)
     memo: dict[tuple[int, int], list[tuple[str, int]]] = {}
-    init = initial_diff_states(enc, layers)
+    # the paired initial states (shared inputs equal) inside the fixpoint
+    init = m.band(m.band(enc.left.init, enc.right.init),
+                  m.band(enc.input_match, layers.fixpoint()))
     prev = FALSE
     for depth, layer in enumerate(layers.layers):
         group = m.band(init, m.bdiff(layer, prev))
@@ -259,7 +245,7 @@ def forward_split(enc: ProductEncoding, layers: DiffLayers) -> list[SymbolicTrac
     # quantifies too; harmless, as every left value of it is in the
     # right's range as well
     matched = m.exists(m.band(enc.right.init, enc.input_match),
-                       enc.right.cur_state_levels() + enc.right.input_levels())
+                       cur2 + enc.right.input_bits)
     unmatched = m.band(enc.left.init, m.bnot(matched))
     if unmatched != FALSE:
         for a, en1 in sorted(enc.left.en_by_action.items()):
@@ -275,29 +261,8 @@ def right_deterministic(enc: ProductEncoding, reach: int) -> bool:
     """Does no pair of reach, the jointly reachable pairs, have a right
     half with two successors under one action both diagrams take?  One
     branching pass per shared action."""
-    m, nxt2 = enc.manager, enc.right.next_levels()
-    return all(m.band(m.branching(t2, nxt2), reach) == FALSE
-               for _, _, t2 in _shared_moves(enc))
-
-
-def trace_exact(enc: ProductEncoding, deterministic: bool) -> bool:
-    """Does the pair game decide trace difference for this direction?
-
-    Yes when the right diagram declares no input the left one lacks and
-    is deterministic on the jointly reachable pairs under the shared
-    actions, which is right_deterministic's answer, passed as
-    deterministic.  The game decides simulation.  With every right
-    input shared, the pairing fixes the right start state, and each
-    right state along the matched prefix of a left trace is the right
-    half of a jointly reachable pair; a right run matching that prefix
-    takes only left actions, so with one successor under each, the
-    right diagram has one run along the prefix at most, and simulation
-    is trace inclusion.  An input only the right side declares is a
-    choice the pairing leaves open, so it keeps the answer at
-    simulation.
-    """
-    return deterministic and \
-        {v.name for v in enc.right.ad.inputs} <= {v.name for v in enc.left.ad.inputs}
+    m, nxt2 = enc.manager, enc.right.next_bits
+    return all(m.band(m.branching(t2, nxt2), reach) == FALSE for _, _, t2 in enc.moves)
 
 
 def render_inputs(st: SymbolicTrace) -> str:
@@ -416,7 +381,7 @@ class AdDiffResult:
 
     semantics is "trace" when the symbolic game decides trace difference
     for this direction and "simulation" when it may only witness a
-    failure of simulation (see trace_exact)."""
+    failure of simulation (see the module docstring)."""
 
     semantics: str
     traces: tuple[SymbolicTrace, ...]
@@ -441,9 +406,9 @@ def addiff(ad1: ActivityDiagram, ad2: ActivityDiagram,
     reach = reachable_pairs(enc)
     clear()
     deterministic = right_deterministic(enc, reach)
-    exact = trace_exact(enc, deterministic)
+    exact = deterministic and {v.name for v in ad2.inputs} <= {v.name for v in ad1.inputs}
     clear()
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, deterministic)
+    layers = backward_fixpoint(enc, reach, deterministic)
     clear()
     traces = forward_split(enc, layers)
     clear()

@@ -73,30 +73,11 @@ class AdBank:
     init: int = FALSE
     t_by_action: dict[str, int] = field(default_factory=dict)
     en_by_action: dict[str, int] = field(default_factory=dict)
-
-    def input_levels(self) -> list[int]:
-        return [lvl for b in self.input_bundles.values() for lvl in b.levels]
-
-    def cur_state_levels(self) -> list[int]:
-        out = list(self.tok_cur.values())
-        for b in self.loc_cur.values():
-            out.extend(b.levels)
-        return out
-
-    def next_levels(self) -> list[int]:
-        out = list(self.tok_next.values())
-        for b in self.loc_next.values():
-            out.extend(b.levels)
-        return out
-
-    def cur_to_next(self) -> dict[int, int]:
-        ren = {self.tok_cur[e]: self.tok_next[e] for e in self.tok_cur}
-        for name, b in self.loc_cur.items():
-            ren.update(dict(zip(b.levels, self.loc_next[name].levels)))
-        return ren
-
-    def next_to_cur(self) -> dict[int, int]:
-        return {n: c for c, n in self.cur_to_next().items()}
+    # levels of the input bundles, the current-state bits (tokens, then
+    # locals) and their next-state copies, position by position
+    input_bits: list[int] = field(default_factory=list)
+    cur_bits: list[int] = field(default_factory=list)
+    next_bits: list[int] = field(default_factory=list)
 
     def bundle_for(self, name: str) -> VarBundle:
         if name in self.input_bundles:
@@ -114,6 +95,10 @@ class ProductEncoding:
     # declaration order, then inputs only the right diagram declares
     report_bundles: tuple[VarBundle, ...]
     report_levels: frozenset[int]  # the levels of report_bundles
+    # (action, left relation, right relation) per shared action, sorted
+    moves: list[tuple[str, int, int]]
+    to_next: dict[int, int]  # both banks' current bits to their next copies
+    to_cur: dict[int, int]  # and back
     # observable steps per (id(diagram), configuration); see ad.diff._memo
     steps: dict = field(default_factory=dict)
     # start configurations per (id(diagram), pinned valuation); see ad.diff._memo
@@ -146,13 +131,15 @@ def encode_product(ad1: ActivityDiagram, ad2: ActivityDiagram,
     # left.input_bundles is filled in declaration order
     report = tuple(left.input_bundles.values()) + tuple(
         right.input_bundles[v.name] for v in ad2.inputs if v.name not in shared)
-    enc = ProductEncoding(m, left, right,
-                          _input_match(m, left, right, shared),
-                          report, frozenset(lvl for b in report for lvl in b.levels))
-
+    match = _input_match(m, left, right, shared)
     for bank in (left, right):
         _compile_bank(m, bank)
-    return enc
+    cur, nxt = left.cur_bits + right.cur_bits, left.next_bits + right.next_bits
+    return ProductEncoding(
+        m, left, right, match, report, frozenset(lvl for b in report for lvl in b.levels),
+        [(a, t1, right.t_by_action[a])
+         for a, t1 in left.t_by_action.items() if a in right.t_by_action],
+        dict(zip(cur, nxt)), dict(zip(nxt, cur)))
 
 
 def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
@@ -165,6 +152,7 @@ def _allocate_inputs(m: BddManager, left: AdBank, right: AdBank) -> None:
 
     def alloc(bank: AdBank, decl, bits: list[int]) -> None:
         bank.input_bundles[decl.name] = VarBundle(decl.name, decl.lo, decl.hi, tuple(bits))
+        bank.input_bits += bits
 
     for v1 in ad1.inputs:
         v2 = names2.get(v1.name)
@@ -262,6 +250,8 @@ def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
                 e = edges[i]
                 bank.tok_cur[e] = m.new_var(f"{bank.ad.name}.tok.{e}")
                 bank.tok_next[e] = m.new_var(f"{bank.ad.name}.tok.{e}'")
+    for bank in (left, right):
+        bank.cur_bits, bank.next_bits = [*bank.tok_cur.values()], [*bank.tok_next.values()]
     l1, l2 = left.ad.locals, right.ad.locals
     for i in range(max(len(l1), len(l2))):
         pair = [(bank, decls[i]) for bank, decls in ((left, l1), (right, l2))
@@ -276,6 +266,8 @@ def _allocate_state(m: BddManager, left: AdBank, right: AdBank) -> None:
         for (bank, v), c, n in zip(pair, cur, nxt):
             bank.loc_cur[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(c))
             bank.loc_next[v.name] = VarBundle(v.name, v.lo, v.hi, tuple(n))
+            bank.cur_bits += c
+            bank.next_bits += n
 
 
 # -- bit vectors ------------------------------------------------------
@@ -490,10 +482,9 @@ def _compile_bank(m: BddManager, bank: AdBank) -> None:
         rel = m.band(m.restrict(settle, before), m.cube(after))
         rel = m.band(rel, _effects_relation(m, bank, t.node))
         rels[t.label] = m.bor(rels.get(t.label, FALSE), rel)
-    nxt = bank.next_levels()
     for name, t in sorted(rels.items()):
         bank.t_by_action[name] = t
-        bank.en_by_action[name] = m.exists(t, nxt)
+        bank.en_by_action[name] = m.exists(t, bank.next_bits)
 
     toks = {bank.tok_cur[e.id]: (e.id == ad.start_edge) for e in ad.edges}
     init = m.cube(toks)

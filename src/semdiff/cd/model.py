@@ -163,11 +163,16 @@ def name_objects(counts) -> tuple[tuple[str, str], ...]:
     """(object id, class) for n objects of each (class, n) in `counts`, in
     that order.  The i-th object of class C is C lowercased, then i; where
     two of those ids coincide (classes `A` and `a`, or eleven `A` objects
-    and one `A1`), every object is `C_i` instead, distinct for distinct
-    classes.  The ids depend on the counts, not on their order."""
+    and one `A1`), or where one is not a name the lexer reads (`İ`
+    lowercases to `i` and a combining dot), every object is `C_i`
+    instead, distinct for distinct classes.  The ids depend on the
+    counts, not on their order."""
     counts = tuple(counts)
     objects = tuple((f"{cls.lower()}{i}", cls) for cls, n in counts for i in range(1, n + 1))
-    if len({oid for oid, _ in objects}) == len(objects):
+    ids = {oid for oid, _ in objects}
+    # a lowered name still starts with a letter or `_`; the rest must stay
+    # word characters, as parsing.tokenize reads them
+    if len(ids) == len(objects) and all(c.isalnum() or c == "_" for oid in ids for c in oid):
         return objects
     return tuple((f"{cls}_{i}", cls) for cls, n in counts for i in range(1, n + 1))
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from semdiff.ad import diff, validate_ad
-from semdiff.ad.diff import (addiff, backward_fixpoint, non_correspondence,
-                             reachable_pairs, right_deterministic)
+from semdiff.ad.diff import addiff, backward_fixpoint, reachable_pairs, right_deterministic
 from semdiff.ad.encode import encode_product
 from semdiff.ad.model import ActivityDiagram, Cmp, IntLit, Var
 from semdiff.parsing import parse_ad
@@ -33,10 +32,9 @@ def both_fixpoints(left: ActivityDiagram, right: ActivityDiagram):
     all built in one manager."""
     enc = encode_product(left, right)
     reach = reachable_pairs(enc)
-    d0 = non_correspondence(enc, reach)
     return (right_deterministic(enc, reach),
-            backward_fixpoint(enc, d0, reach, False).layers,
-            backward_fixpoint(enc, d0, reach, True).layers)
+            backward_fixpoint(enc, reach, False).layers,
+            backward_fixpoint(enc, reach, True).layers)
 
 
 def directions(pairs):

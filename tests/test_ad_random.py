@@ -312,7 +312,7 @@ def test_symbolic_self_reach_matches_explicit_search(seed):
         enc = encode_product(ad, ad)
         m, reach = enc.manager, reachable_pairs(enc)
         levels = [lvl for bank in (enc.left, enc.right)
-                  for lvl in bank.cur_state_levels() + bank.input_levels()]
+                  for lvl in bank.cur_bits + bank.input_bits]
         pairs = explicit_pairs(ad, ad)
         assert m.count_sat(reach, levels) == len(pairs)
         for c1, c2 in pairs:

@@ -13,8 +13,7 @@ import pytest
 from semdiff import cli
 from semdiff.ad import model, validate_ad
 from semdiff.ad.diff import (DiffLayers, addiff, backward_fixpoint, forward_split,
-                             initial_diff_states, non_correspondence,
-                             reachable_pairs, right_deterministic, trace_exact)
+                             reachable_pairs, right_deterministic)
 from semdiff.ad.encode import ProductEncoding, encode_product
 from semdiff.ad.model import (ActivityDiagram, Cmp, Edge, IntLit, Node, Var,
                               VarDecl, initial_configs, observable_steps)
@@ -57,14 +56,13 @@ def conjoined_reach(enc: ProductEncoding) -> int:
     m = enc.manager
     joint = [m.band(t1, enc.right.t_by_action[a])
              for a, t1 in enc.left.t_by_action.items() if a in enc.right.t_by_action]
-    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
-    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    cur = enc.left.cur_bits + enc.right.cur_bits
     reach = frontier = m.band(m.band(enc.left.init, enc.right.init), enc.input_match)
     while frontier != FALSE:
         img = FALSE
         for t in joint:
             img = m.bor(img, m.and_exists(frontier, t, cur))
-        frontier = m.bdiff(m.rename(img, ren), reach)
+        frontier = m.bdiff(m.rename(img, enc.to_cur), reach)
         reach = m.bor(reach, frontier)
     return reach
 
@@ -75,8 +73,7 @@ def conjoined_split(enc: ProductEncoding,
     finds them, by a plain recursive descent through the conjoined
     relations and the full divergence sets bdiff(en1, en2)."""
     m = enc.manager
-    cur = enc.left.cur_state_levels() + enc.right.cur_state_levels()
-    ren = {**enc.left.next_to_cur(), **enc.right.next_to_cur()}
+    cur = enc.left.cur_bits + enc.right.cur_bits
     names = alphabet(enc)
     t = {a: m.band(enc.left.t_by_action.get(a, FALSE), enc.right.t_by_action.get(a, FALSE))
          for a in names}
@@ -94,17 +91,18 @@ def conjoined_split(enc: ProductEncoding,
             if d == 0:
                 if (leaf := m.band(pairs, diverge[a])) != FALSE:
                     emit(prefix + (a,), leaf)
-            elif (img := m.band(m.rename(m.and_exists(pairs, t[a], cur), ren),
+            elif (img := m.band(m.rename(m.and_exists(pairs, t[a], cur), enc.to_cur),
                                 layers.layers[d - 1])) != FALSE:
                 descend(img, d - 1, prefix + (a,))
 
-    init = initial_diff_states(enc, layers)
+    init = m.band(m.band(enc.left.init, enc.right.init),
+                  m.band(enc.input_match, layers.fixpoint()))
     for d, layer in enumerate(layers.layers):
         below = layers.layers[d - 1] if d else FALSE
         if (group := m.band(init, m.bdiff(layer, below))) != FALSE:
             descend(group, d, ())
     matched = m.exists(m.band(enc.right.init, enc.input_match),
-                       enc.right.cur_state_levels() + enc.right.input_levels())
+                       enc.right.cur_bits + enc.right.input_bits)
     for a, en1 in enc.left.en_by_action.items():
         if (leaf := m.band(m.bdiff(enc.left.init, matched), en1)) != FALSE:
             emit((a,), leaf)
@@ -118,7 +116,7 @@ def assert_images_match_conjoined_relations(left: ActivityDiagram,
     enc = encode_product(left, right)
     reach = reachable_pairs(enc)
     assert reach == conjoined_reach(enc), (left.name, right.name)
-    layers = backward_fixpoint(enc, non_correspondence(enc, reach), reach, False)
+    layers = backward_fixpoint(enc, reach, False)
     got = [(st.actions, st.init_inputs.node) for st in forward_split(enc, layers)]
     assert got == conjoined_split(enc, layers), (left.name, right.name)
 
@@ -126,12 +124,11 @@ def assert_images_match_conjoined_relations(left: ActivityDiagram,
 def unrestricted_layers(enc: ProductEncoding, d0: int) -> list[int]:
     """The forcing fixpoint over every state pair, reachable or not."""
     m = enc.manager
-    ren = {**enc.left.cur_to_next(), **enc.right.cur_to_next()}
-    nxt1 = enc.left.next_levels()
-    nxt2 = enc.right.next_levels()
+    nxt1 = enc.left.next_bits
+    nxt2 = enc.right.next_bits
     layers = [d0]
     while True:
-        dn = m.rename(layers[-1], ren)
+        dn = m.rename(layers[-1], enc.to_next)
         new = layers[-1]
         for a in alphabet(enc):
             t1 = enc.left.t_by_action.get(a, FALSE)
@@ -182,9 +179,8 @@ def assert_restricted_layers_within_reach(left: ActivityDiagram,
     m = enc.manager
     reach = reachable_pairs(enc)
     d0 = full_non_correspondence(enc)
-    assert non_correspondence(enc, reach) == m.band(d0, reach)
-    restricted = list(backward_fixpoint(enc, non_correspondence(enc, reach), reach,
-                                        False).layers)
+    restricted = list(backward_fixpoint(enc, reach, False).layers)
+    assert restricted[0] == m.band(d0, reach)
     full = unrestricted_layers(enc, d0)
     assert len(restricted) <= len(full)
     for k, layer in enumerate(full):
@@ -203,7 +199,7 @@ def test_reachable_pairs_match_explicit_joint_runs(ad_v1, ad_v2, ad_v3):
     for left, right in fixture_pairs(ad_v1, ad_v2, ad_v3):
         enc = encode_product(left, right)
         levels = [lvl for bank in (enc.left, enc.right)
-                  for lvl in bank.cur_state_levels() + bank.input_levels()]
+                  for lvl in bank.cur_bits + bank.input_bits]
         got = enc.manager.count_sat(reachable_pairs(enc), levels)
         assert got == explicit_pair_count(left, right), (left.name, right.name)
 
@@ -304,7 +300,7 @@ def test_addiff_builds_no_explicit_transition_system(monkeypatch, ad_v1, ad_v2):
 
 
 def explicitly_exact(ad1: ActivityDiagram, ad2: ActivityDiagram) -> bool:
-    """trace_exact read off the explicit joint pairs: ad2 declares no input
+    """addiff's trace-semantics test read off the explicit joint pairs: ad2 declares no input
     ad1 lacks, and the right half of no jointly reachable pair has two
     successors under one action both diagrams take."""
     if not {v.name for v in ad2.inputs} <= {v.name for v in ad1.inputs}:
@@ -339,8 +335,7 @@ def test_symbolic_determinism_matches_explicit_check(ad_v1, ad_v2, ad_v3):
     ]
     verdicts = []
     for left, right in cases:
-        enc = encode_product(left, right)
-        verdict = trace_exact(enc, right_deterministic(enc, reachable_pairs(enc)))
+        verdict = addiff(left, right).semantics == "trace"
         assert verdict == explicitly_exact(left, right), (left.name, right.name)
         verdicts.append(verdict)
     # against itself a diagram reaches jointly what it reaches alone
@@ -431,8 +426,7 @@ def test_nondeterminism_under_an_action_the_left_never_takes_keeps_trace_semanti
                     ("b", "j"), ("z1", "j"), ("z2", "j"), ("j", "f")])
     # after `a`, both `z` nodes hold a token: two successors under z
     assert not is_observably_deterministic(right)
-    enc = encode_product(left, right)
-    verdict = trace_exact(enc, right_deterministic(enc, reachable_pairs(enc)))
+    verdict = addiff(left, right).semantics == "trace"
     assert verdict == explicitly_exact(left, right) is True
     assert sorted(ad_diff_bfs(left, right).ql) == [("a", "c")]
     res = addiff(left, right)
@@ -456,8 +450,31 @@ REDECLARED = ((2, 17), (0, 9), (-3, 20), (16, 23))
 
 
 def state_level_count(enc: ProductEncoding) -> int:
-    return sum(len(bank.cur_state_levels() + bank.next_levels())
+    return sum(len(bank.cur_bits + bank.next_bits)
                for bank in (enc.left, enc.right))
+
+
+def test_level_lists_and_maps_follow_the_banks(ad_v1, ad_v2):
+    """encode_product's level lists, level maps and move table are what
+    the banks' bundles and relations spell, in the order stages read."""
+    for left, right in ((ad_v1, ad_v2), (_ad(COUNTER), counter_loop("c9", 9, "stop"))):
+        enc = encode_product(left, right)
+        for bank in (enc.left, enc.right):
+            assert bank.input_bits == [lvl for b in bank.input_bundles.values()
+                                       for lvl in b.levels]
+            assert bank.cur_bits == [*bank.tok_cur.values(),
+                                     *(lvl for b in bank.loc_cur.values() for lvl in b.levels)]
+            assert bank.next_bits == [*(bank.tok_next[e] for e in bank.tok_cur),
+                                      *(lvl for name in bank.loc_cur
+                                        for lvl in bank.loc_next[name].levels)]
+        pairs = [pair for bank in (enc.left, enc.right)
+                 for pair in zip(bank.cur_bits, bank.next_bits)]
+        assert list(enc.to_next.items()) == pairs
+        assert list(enc.to_cur.items()) == [(n, c) for c, n in pairs]
+        assert enc.moves == [(a, t1, enc.right.t_by_action[a])
+                             for a, t1 in sorted(enc.left.t_by_action.items())
+                             if a in enc.right.t_by_action]
+        assert enc.moves
 
 
 def test_input_declared_alike_has_one_set_of_levels(ad_v1, ad_v2, ad_v3):
@@ -467,7 +484,7 @@ def test_input_declared_alike_has_one_set_of_levels(ad_v1, ad_v2, ad_v3):
         (b,) = enc.left.input_bundles.values()
         assert enc.right.input_bundles == {"tickets": b}
         # one level per input bit, at the top of the order
-        assert enc.left.input_levels() == enc.right.input_levels() == list(range(b.nbits))
+        assert enc.left.input_bits == enc.right.input_bits == list(range(b.nbits))
         assert m.var_count == b.nbits + state_level_count(enc)
         assert enc.input_match == m.domain_cube(b)
         assert enc.report_bundles == (b,)

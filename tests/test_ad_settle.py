@@ -112,7 +112,7 @@ def test_settled_relations_are_the_per_action_closures(case):
     for bank in (enc.left, enc.right):
         ref = per_action_relations(m, bank)
         assert sorted(ref) == sorted(bank.t_by_action)
-        nxt = bank.next_levels()
+        nxt = bank.next_bits
         for name, t in ref.items():
             assert bank.t_by_action[name] == t, name
             assert bank.en_by_action[name] == m.exists(t, nxt), name

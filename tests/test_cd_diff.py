@@ -114,6 +114,30 @@ def test_a_lowered_upper_bound_is_witnessed_through_a_pinned_count(monkeypatch):
     assert _as_sets(om) in {_as_sets(w) for w in oracle.witnesses}
 
 
+def test_a_lowered_upper_bound_at_position_b_is_witnessed_through_a_pinned_count(
+        monkeypatch):
+    # the mirror of the test above: b1 is pinned to two partners
+    cd1 = parse_cd("classdiagram q1 { class A; class B; association r [0..2] A -- B [0..1]; }")
+    cd2 = parse_cd("classdiagram q2 { class A; class B; association r [0..1] A -- B [0..1]; }")
+    pinned = []
+
+    def recording(*args):
+        chosen = _choose_links(*args)
+        if chosen is not None and args[3] == ((2, 2),):
+            pinned.append(args)
+        return chosen
+
+    monkeypatch.setattr(diff, "_choose_links", recording)
+    (entry,) = cddiff_summary(cd1, cd2, 4).entries
+    om = entry.representative
+    assert entry.key.names == ("A", "B") and pinned == [(2, 1, ((0, 1), (0, 1)), ((2, 2),), None)]
+    assert om.objects == (("a1", "A"), ("a2", "A"), ("b1", "B"))
+    assert sorted((ln.obj_a, ln.obj_b) for ln in om.links) == [("a1", "b1"), ("a2", "b1")]
+    oracle = cd_enumerate_all(cd1, cd2, 4)
+    assert oracle.keys() == [("A", "B")]
+    assert _as_sets(om) in {_as_sets(w) for w in oracle.witnesses}
+
+
 # ------------------------------------------------------------- summaries
 
 def test_summary_partitions_by_class_set(cd_v1, cd_v2):

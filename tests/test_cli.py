@@ -14,9 +14,10 @@ import pytest
 from conftest import FIXTURES, fixture_text
 from semdiff.ad.diff import ReplayMismatchError
 from semdiff import cli, oracle
-from semdiff.cd.model import InstanceVerdict, ObjectModel
+from semdiff.cd.model import InstanceVerdict, ObjectModel, is_instance, validate_om
 from semdiff.cli import COMMANDS, main
 from semdiff.oracle import StateBudgetExceededError
+from semdiff.parsing import parse_cd, parse_od
 from semdiff.summary import SummaryEntry
 
 CD1 = str(FIXTURES / "cd_v1.cd")
@@ -102,6 +103,23 @@ def test_cddiff_oracle_agreement(capsys, left, right, n):
     code, out, err = run(capsys, "cddiff", left, right, "--scope", "3", "--oracle")
     assert code == 0
     assert f"oracle agreement: {n} class(es) at scope 3" in err
+
+
+def test_a_witness_of_a_class_whose_lowercase_is_no_name_parses_back(capsys, tmp_path):
+    # `İ` lowercases to `i` and a combining dot, which the lexer rejects
+    left, right = tmp_path / "l.cd", tmp_path / "r.cd"
+    left.write_text("classdiagram L { class İ; }", encoding="utf-8")
+    right.write_text("classdiagram R { class B; }", encoding="utf-8")
+    code, out, _ = run(capsys, "cddiff", str(left), str(right), "--scope", "2",
+                       "--format", "json-lines")
+    assert code == 0
+    (row,) = [json.loads(ln) for ln in out.splitlines()]
+    om = validate_om(parse_od(row["representative"]))
+    assert om.objects == (("İ_1", "İ"),)
+    assert is_instance(om, parse_cd(left.read_text(encoding="utf-8")))
+    code, _, err = run(capsys, "cddiff", str(left), str(right), "--scope", "2", "--oracle")
+    assert code == 0
+    assert "oracle agreement: 1 class(es) at scope 2" in err
 
 
 def test_cddiff_oracle_scope_cap(capsys):

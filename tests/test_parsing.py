@@ -160,19 +160,23 @@ def test_od_links_keep_position_order():
 
 
 def test_ad_effects_and_guards_round_trip():
-    src = """activitydiagram t {
-      input x : 0..15;
-      local y : 0..3 = 1;
-      initial i;
-      action a { y := y + 1; };
-      decision d;
-      final f;
-      edge i -> a;
-      edge a -> d;
-      edge d -> f [x >= 8 && !(y == 2) || x < 1];
-    }"""
-    ad = parse_ad(src)
-    assert parse_ad(print_ad(ad)) == ad
+    # nested guards print with the parentheses they need, and no others
+    for guard in ("x >= 8 && !(y == 2) || x < 1", "(x < 1 || x > 5) && x != 3",
+                  "x < 1 || (x > 2 || x > 3)", "!!(x >= 1)"):
+        src = f"""activitydiagram t {{
+          input x : 0..15;
+          local y : 0..3 = 1;
+          initial i;
+          action a {{ y := y + 1; }};
+          decision d;
+          final f;
+          edge i -> a;
+          edge a -> d;
+          edge d -> f [{guard}];
+        }}"""
+        ad = parse_ad(src)
+        assert f"[{guard}]" in print_ad(ad)
+        assert parse_ad(print_ad(ad)) == ad
 
 
 def test_comments_and_whitespace_are_ignored():
