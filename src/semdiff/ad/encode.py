@@ -15,11 +15,11 @@ and paired by value.
 
 The relations are compiled from the diagram's net, the transitions the
 explicit game fires.  An action's relation is silent closure followed
-by one of its transitions.  The closure is composed once per diagram, by
-constant substitution, into a relation from a marking to the quiescent
-markings it settles in; that works because silent transitions write
-nothing but token-bit constants, and it is why each action's token move
-and effects can follow it as they are.
+by one of its transitions.  The closure is composed once per group of
+silent transitions that share an edge, by constant substitution, into a
+relation from a marking to the quiescent markings it settles in; that
+works because silent transitions write nothing but token-bit constants,
+and it is why each action's token move and effects can follow it.
 
 Guards, effects and the pairing of shared inputs are compiled bit-wise,
 never by enumerating a domain: an integer expression becomes a
@@ -345,10 +345,10 @@ def _bool_node(m: BddManager, bank: AdBank, e: object,
     width = (_bound(bank, e.left) + _bound(bank, e.right)).bit_length() + 1
     d = _add(m, _int_vec(m, e.left, env, width),
              _int_vec(m, e.right, env, width), subtract=True)
-    lt, eq = d[-1], _eq(m, d, _const(0, width))
-    le = m.bor(lt, eq)
-    return {"<": lt, "<=": le, ">": m.bnot(le), ">=": m.bnot(lt),
-            "==": eq, "!=": m.bnot(eq)}[e.op]
+    # d < 0 is its sign bit; the zero test is built only for the ops that read it
+    eq = FALSE if e.op in ("<", ">=") else _eq(m, d, _const(0, width))
+    node = eq if e.op in ("==", "!=") else m.bor(d[-1], eq)
+    return node if e.op in ("<", "<=", "==") else m.bnot(node)
 
 
 def _domains(m: BddManager, bundles) -> int:
@@ -378,16 +378,10 @@ def _compile_bool(m: BddManager, bank: AdBank, expr: object) -> int:
     return m.band(_bool_node(m, bank, expr, env), _domains(m, bundles))
 
 
-def _frame_tokens(m: BddManager, bank: AdBank) -> int:
-    """The marking stays as it is."""
-    return _eq(m, [m.var(bank.tok_cur[e.id]) for e in bank.ad.edges],
-               [m.var(bank.tok_next[e.id]) for e in bank.ad.edges])
-
-
-def _frame_locals(m: BddManager, bank: AdBank, touched: set[str]) -> int:
-    keep = [name for name in bank.loc_cur if name not in touched]
-    return _eq(m, [m.var(lvl) for name in keep for lvl in bank.loc_cur[name].levels],
-               [m.var(lvl) for name in keep for lvl in bank.loc_next[name].levels])
+def _frame(m: BddManager, bank: AdBank, levels: list[int]) -> int:
+    """The current-state bits at the given levels keep their values."""
+    to_next = dict(zip(bank.cur_bits, bank.next_bits))
+    return _eq(m, [m.var(b) for b in levels], [m.var(to_next[b]) for b in levels])
 
 
 def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
@@ -414,7 +408,8 @@ def _effects_relation(m: BddManager, bank: AdBank, node: Node) -> int:
     # patterns denote values outside it, so equality pins the domain too
     for t in sorted(set(targets)):
         rel = m.band(rel, _eq(m, _bundle_vec(m, bank.loc_next[t]), env[t]))
-    return m.band(rel, _frame_locals(m, bank, set(targets)))
+    keep = [lvl for name, b in bank.loc_cur.items() if name not in targets for lvl in b.levels]
+    return m.band(rel, _frame(m, bank, keep))
 
 
 def _marks(bits: dict[str, int], t: Transition) -> tuple[dict[int, bool], dict[int, bool]]:
@@ -455,25 +450,45 @@ def _compose_closure(m: BddManager, base: int,
         t = new
 
 
+def _settle(m: BddManager, bank: AdBank) -> int:
+    """settle(s, tok'): silent firings lead s to a quiescent state with
+    marking tok'.  Silent transitions whose edges meet, transitively, form
+    a component, whose closure starts from its quiescence and a frame over
+    its bits.  That is exact: a silent firing reads only its own token bits
+    and a guard over inputs and locals, and writes only its token bits, so
+    firings of different components commute and never enable, disable or
+    block one another; a silent run splits into one run per component, and
+    a marking is quiescent exactly when each component's part is.  Bits go
+    in bit order, never in set order, which string hashing changes."""
+    firings = _silent_firings(m, bank)
+    comps: list[set[int]] = []  # the token bits of each component
+    for _, w in firings:
+        meet = [c for c in comps if c & w.keys()]
+        comps = [c for c in comps if c not in meet] + [set(w).union(*meet)]
+    settle = TRUE
+    for bits in sorted(comps, key=min):
+        part = [f for f in firings if f[1].keys() <= bits]
+        quiet = TRUE
+        for cond, _ in part:
+            quiet = m.band(quiet, m.bnot(cond))
+        base = m.band(quiet, _frame(m, bank, sorted(bits)))
+        settle = m.band(settle, _compose_closure(m, base, part))
+    rest = [b for b in bank.tok_cur.values() if all(b not in c for c in comps)]
+    return m.band(settle, _frame(m, bank, rest))
+
+
 def _compile_bank(m: BddManager, bank: AdBank) -> None:
     """Fill in the bank's relations and init.
 
-    settle(s, tok') holds when silent firings lead s to a quiescent state
-    whose marking is tok'; it is composed once.  Silent firings leave the
-    locals alone, so a labelled transition's relation is settle read at
-    the marking it fires from (pre set, post - pre clear: unsafe firings
-    are absent), then its token move and its node's effects.  Transitions
-    sharing a label share a relation, the union of theirs.
+    Silent firings leave the locals alone, so a labelled transition's
+    relation is `_settle`'s relation read at the marking it fires from
+    (pre set, post - pre clear: unsafe firings are absent), then its
+    token move and its node's effects.  Transitions sharing a label
+    share a relation, the union of theirs.
     """
     ad = bank.ad
     dom = _domains(m, bank.input_bundles.values())
-
-    firings = _silent_firings(m, bank)
-    quiet = TRUE
-    for cond, _ in firings:
-        quiet = m.band(quiet, m.bnot(cond))
-
-    settle = _compose_closure(m, m.band(quiet, _frame_tokens(m, bank)), firings)
+    settle = _settle(m, bank)
     rels: dict[str, int] = {}
     for t in ad.transitions:
         if t.label is None:
